@@ -10,6 +10,7 @@
 
 #include "bench/bench_common.hh"
 #include "conv/engine_sparse.hh"
+#include "sparse/sparse_plan.hh"
 #include "util/random.hh"
 #include "util/timer.hh"
 
@@ -59,6 +60,9 @@ main(int argc, char **argv)
         for (std::int64_t tile : tiles) {
             SparseBpEngine engine(tile);
             double t = bestTimeSeconds(3, [&] {
+                // Drop the cached plan so every rep pays the encode,
+                // as a fresh minibatch does in training.
+                SparsePlanCache::global().invalidate(eo.data());
                 engine.backwardData(spec, eo, w, ei, pool);
                 engine.backwardWeights(spec, eo, in, dw, pool);
             });

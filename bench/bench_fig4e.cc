@@ -25,8 +25,7 @@ namespace {
 
 /** Measured single-core goodput (GFlops/s of non-zero work). */
 double
-measuredGoodput(const std::string &engine_name, const ConvSpec &spec,
-                double sparsity, std::int64_t batch)
+measuredGoodput(const ConvSpec &spec, double sparsity, std::int64_t batch)
 {
     ThreadPool pool(1);
     Rng rng(7);
@@ -40,15 +39,15 @@ measuredGoodput(const std::string &engine_name, const ConvSpec &spec,
     eo.sparsify(rng, sparsity);
     double nnz_frac = 1.0 - eo.sparsity();
 
-    auto engine = makeEngine(engine_name);
+    SparseBpEngine engine;
     Tensor dw(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
     double seconds = bestTimeSeconds(2, [&] {
-        // Each rep is one training minibatch: the encode-once engine
-        // re-encodes in BP-data (a fresh EO would miss) and reuses the
-        // plan in BP-weights.
+        // Each rep is one training minibatch: the engine re-encodes in
+        // BP-data (a fresh EO would miss) and reuses the plan in
+        // BP-weights.
         SparsePlanCache::global().invalidate(eo.data());
-        engine->backwardData(spec, eo, w, ei, pool);
-        engine->backwardWeights(spec, eo, in, dw, pool);
+        engine.backwardData(spec, eo, w, ei, pool);
+        engine.backwardWeights(spec, eo, in, dw, pool);
     });
     // Non-zero flops of both BP phases.
     double useful = 2.0 * nnz_frac * batch *
@@ -69,12 +68,8 @@ main(int argc, char **argv)
     cli.addInt("measure-flops-limit", 8,
                "skip measured column above this many GFlops per image "
                "batch");
-    cli.addString("sparse-engine", "sparse",
-                  "sparse BP engine to model and measure (sparse | "
-                  "sparse-cached)");
     cli.parse(argc, argv);
     std::int64_t batch = cli.getInt("batch");
-    std::string engine_name = cli.getString("sparse-engine");
 
     MachineModel machine = MachineModel::xeonE5_2650();
     const double sweep[] = {0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.97};
@@ -94,7 +89,7 @@ main(int argc, char **argv)
             for (Phase phase :
                  {Phase::BackwardData, Phase::BackwardWeights}) {
                 SimResult r = modelConvPhase(machine, entry.spec, phase,
-                                             engine_name, batch, 16,
+                                             "sparse", batch, 16,
                                              sparsity);
                 goodput += r.useful_flops;
                 seconds += r.seconds;
@@ -107,8 +102,8 @@ main(int argc, char **argv)
                         flops_limit;
         row.push_back(cli.getBool("measure") && feasible
                           ? TablePrinter::fmt(
-                                measuredGoodput(engine_name, entry.spec,
-                                                0.85, measure_batch),
+                                measuredGoodput(entry.spec, 0.85,
+                                                measure_batch),
                                 1)
                           : "-");
         table.addRow(row);

@@ -125,13 +125,10 @@ main(int argc, char **argv)
          "gemm-in-parallel", 0.80, 0.3e-3},
         {"GEMM-in-Parallel (FP) + Sparse (BP)", "gemm-in-parallel",
          "sparse", 0.80, 0.3e-3},
+        // The sparse BP engine encodes CT-CSR once per minibatch and
+        // shares the plan between its two phases.
         {"Stencil (FP) + Sparse (BP)", "stencil", "sparse", 0.80,
          0.3e-3},
-        // Beyond the paper's five: the encode-once sparse BP engine
-        // (shared CT-CSR plans) pays the encoding traffic once per
-        // minibatch instead of once per phase.
-        {"Stencil (FP) + Sparse encode-once (BP)", "stencil",
-         "sparse-cached", 0.80, 0.3e-3},
     };
 
     MachineModel machine = MachineModel::xeonE5_2650();
@@ -180,11 +177,6 @@ main(int argc, char **argv)
         measured.addRow({"stencil FP + sparse BP",
                          TablePrinter::fmt(measuredImagesPerSecond(
                                                "stencil", "sparse"),
-                                           0)});
-        measured.addRow({"stencil FP + sparse-cached BP",
-                         TablePrinter::fmt(measuredImagesPerSecond(
-                                               "stencil",
-                                               "sparse-cached"),
                                            0)});
         measured.print();
     }

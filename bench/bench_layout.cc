@@ -154,7 +154,7 @@ main(int argc, char **argv)
 
     const Phase kPhases[] = {Phase::Forward, Phase::BackwardData,
                              Phase::BackwardWeights};
-    auto engines = makeAllEngines();
+    auto engines = makeEngines();
     DirectEngine direct;
 
     TablePrinter table(
@@ -230,7 +230,7 @@ main(int argc, char **argv)
                 for (const auto &engine : engines)
                     if (engine->name() != "direct" &&
                         engine->supports(phase) &&
-                        engine->supportsGeometry(spec))
+                        engine->appliesTo(spec, w.sparsity()))
                         cands.push_back(engine.get());
                 Tensor result = phaseResult(phase, spec, batch);
                 result.fill(0.0f);

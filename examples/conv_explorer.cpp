@@ -84,7 +84,9 @@ main(int argc, char **argv)
          "BP goodput GF/s"});
 
     double flops = batch * static_cast<double>(spec.flops());
-    for (const auto &engine : makeAllEngines()) {
+    for (const auto &engine : makeEngines()) {
+        if (!engine->appliesTo(spec, w.sparsity()))
+            continue;
         std::vector<std::string> row = {engine->name()};
         if (engine->supports(Phase::Forward)) {
             double t = bestTimeSeconds(3, [&] {

@@ -5,9 +5,9 @@
  * workers training one model synchronously.
  *
  * Runs real K-replica synchronous SGD (shards + gradient averaging)
- * on a synthetic MNIST-geometry task, verifies the workers stayed
- * consistent, and projects cluster-level throughput for baseline vs
- * spg-CNN worker speeds using the cluster model.
+ * on a synthetic MNIST-geometry task, then extrapolates the measured
+ * per-bucket step profile to larger clusters with modelScaling():
+ * blocking vs backprop-overlapped gradient exchange.
  *
  * Run: ./build/examples/distributed_training [--workers 4]
  */
@@ -16,7 +16,6 @@
 
 #include "core/net_config.hh"
 #include "data/suites.hh"
-#include "distrib/cluster_model.hh"
 #include "distrib/data_parallel.hh"
 #include "util/cli.hh"
 
@@ -56,23 +55,19 @@ main(int argc, char **argv)
                     epoch.compute_seconds);
     }
 
-    // Project the cluster behaviour for baseline vs spg-CNN workers.
-    ClusterModel cluster;
-    cluster.param_bytes = 4.0 * trainer.paramCount();
-    std::printf("\nmodeled cluster scaling (10 GbE, global batch "
-                "%lld):\n%8s %14s %14s\n",
-                static_cast<long long>(options.global_batch), "workers",
-                "baseline img/s", "spg-CNN img/s");
+    // Extrapolate the measured profile to larger clusters.
+    const ExchangeOptions &ex = options.exchange;
+    std::printf("\nmodeled scaling from the measured step (%s, "
+                "%.2f GB/s links):\n%8s %16s %16s\n",
+                allreduceAlgoName(ex.algo), ex.link.bandwidth_gbs,
+                "workers", "blocking speedup", "overlap speedup");
     for (int k : {1, 4, 16, 64}) {
-        if (options.global_batch % k != 0)
-            continue;
-        ClusterModel base = cluster;
-        base.worker_images_per_s = 250;
-        ClusterModel spg = cluster;
-        spg.worker_images_per_s = 2014;
-        std::printf("%8d %14.0f %14.0f\n", k,
-                    base.imagesPerSecond(k, options.global_batch),
-                    spg.imagesPerSecond(k, options.global_batch));
+        ScalingPoint block = modelScaling(trainer.profile(), k, ex.algo,
+                                          ex.link, false, false);
+        ScalingPoint overlap = modelScaling(trainer.profile(), k, ex.algo,
+                                            ex.link, true, false);
+        std::printf("%8d %15.2fx %15.2fx\n", k, block.speedup,
+                    overlap.speedup);
     }
     return 0;
 }

@@ -166,11 +166,17 @@ class ConvEngine
     virtual bool supports(Phase phase) const = 0;
 
     /**
-     * @return true when this engine can execute the given geometry
-     * (default: any). Specialized engines (e.g. Winograd, which needs
-     * 3x3 stride-1 kernels) refine this so the tuner can skip them.
+     * @return true when this engine is a candidate for a layer with
+     * the given geometry and weight zero fraction (default: always).
+     * Specialized engines refine it: Winograd needs 3x3 stride-1
+     * kernels, the CSR-weights engine a pruned layer. The tuner only
+     * measures engines for which this holds.
      */
-    virtual bool supportsGeometry(const ConvSpec &) const { return true; }
+    virtual bool
+    appliesTo(const ConvSpec &, double /*weight_sparsity*/) const
+    {
+        return true;
+    }
 
     /** FP without a fused epilogue. */
     void

@@ -187,43 +187,16 @@ GemmInParallelEngine::backwardWeights(const ConvSpec &spec,
                                       const BpMask &mask) const
 {
     SPG_TRACE_SCOPE("kernel", "gemm-in-parallel BP-weights");
-    std::int64_t batch = eo.shape()[0];
-    std::int64_t w_count = spec.weightElems();
-
-    // Each worker accumulates into a private gradient slab; the slabs
-    // are summed into dweights afterwards. The slabs live in reusable
-    // per-engine scratch and each worker zeroes its own slab on first
-    // touch, so steady-state minibatches neither allocate nor
-    // zero-fill slabs of idle workers.
-    int workers = pool.threads();
-    std::size_t total =
-        static_cast<std::size_t>(workers) * w_count;
-    if (partialDw_.size() < total)
-        partialDw_ = AlignedBuffer<float>(kUninit, total);
-    partialUsed_.assign(workers, 0);
-    pool.parallelForDynamic(batch, [&](std::int64_t b, int worker) {
-        float *dw = partialDw_.data() + worker * w_count;
-        if (!partialUsed_[worker]) {
-            std::memset(dw, 0, sizeof(float) * w_count);
-            partialUsed_[worker] = 1;
-        }
-        std::int64_t off = b * spec.outputElems();
-        const float *eo_b =
-            stagedMaskedEo(spec, eo.data() + off, off, mask);
-        backwardWeightsImage(spec, eo_b,
-                             in.data() + b * spec.inputElems(), dw,
-                             seqMm);
-    }, /*grain=*/1);
-
-    dweights.zero();
-    for (int w = 0; w < workers; ++w) {
-        if (!partialUsed_[w])
-            continue;
-        const float *src = partialDw_.data() + w * w_count;
-        float *dst = dweights.data();
-        for (std::int64_t i = 0; i < w_count; ++i)
-            dst[i] += src[i];
-    }
+    reducer_.run(pool, eo.shape()[0], spec.weightElems(),
+                 [&](std::int64_t b, float *dw) {
+                     std::int64_t off = b * spec.outputElems();
+                     const float *eo_b =
+                         stagedMaskedEo(spec, eo.data() + off, off, mask);
+                     backwardWeightsImage(spec, eo_b,
+                                          in.data() + b * spec.inputElems(),
+                                          dw, seqMm);
+                 },
+                 dweights.data());
 }
 
 } // namespace spg

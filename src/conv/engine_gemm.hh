@@ -23,10 +23,8 @@
 #ifndef SPG_CONV_ENGINE_GEMM_HH
 #define SPG_CONV_ENGINE_GEMM_HH
 
-#include <vector>
-
+#include "conv/batch_reduce.hh"
 #include "conv/engine.hh"
-#include "util/aligned.hh"
 
 namespace spg {
 
@@ -76,12 +74,9 @@ class GemmInParallelEngine : public ConvEngine
                          const BpMask &mask) const override;
 
   private:
-    /** Reused per-worker partial-gradient slabs for backwardWeights;
-     *  grown on demand so steady-state training allocates nothing in
-     *  that path. Calls on ONE engine instance must not overlap
-     *  (matches how layers and the tuner drive engines). */
-    mutable AlignedBuffer<float> partialDw_;
-    mutable std::vector<unsigned char> partialUsed_;
+    /** Deterministic per-image dW reduction; its slabs are reused so
+     *  steady-state training allocates nothing in that path. */
+    mutable BatchReducer reducer_;
 };
 
 } // namespace spg

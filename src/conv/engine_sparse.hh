@@ -28,19 +28,24 @@
  *    slice a feature band touches stays cache-resident and row walks
  *    stay TLB-friendly (Fig. 5a).
  *
- * All data-layout transformation and CT-CSR construction costs are
- * inside the engine, as in the paper's measurements.
+ * The error gradients are encoded ONCE per minibatch: BP-data builds
+ * the CT-CSR plan through SparsePlanCache — with the fused
+ * CtCsrMatrix::fromChw builder, so no dense HWC staging transpose is
+ * written, and a fused ReLU mask gates liveness inside the same sweep
+ * — and BP-weights replays the same shared read-only plan. All
+ * data-layout transformation and CT-CSR construction costs are inside
+ * the engine, as in the paper's measurements.
  */
 
 #ifndef SPG_CONV_ENGINE_SPARSE_HH
 #define SPG_CONV_ENGINE_SPARSE_HH
 
+#include "conv/batch_reduce.hh"
 #include "conv/engine.hh"
-#include "util/aligned.hh"
 
 namespace spg {
 
-/** Sparsity-exploiting BP engine. */
+/** Sparsity-exploiting BP engine (the paper's Sparse-Kernel). */
 class SparseBpEngine : public ConvEngine
 {
   public:
@@ -74,53 +79,10 @@ class SparseBpEngine : public ConvEngine
     /** @return the feature tile width used for the given Nf. */
     std::int64_t effectiveFeatureTile(std::int64_t nf) const;
 
-  protected:
-    /**
-     * BP-weights shared tail: per-worker private dW' slabs in
-     * [ky][kx][f][c] layout, reused across calls (workers zero their
-     * own slab on first touch). reducePartials sums the used slabs
-     * into dst with the vectorized axpy.
-     */
-    float *acquirePartials(int workers, std::int64_t w_count) const;
-    bool claimWorkerSlab(int worker) const;
-    void reducePartials(int workers, std::int64_t w_count,
-                        float *dst) const;
-
-    std::int64_t featureTile;
-
   private:
-    mutable AlignedBuffer<float> partialDw_;
-    mutable std::vector<unsigned char> partialUsed_;
-};
-
-/**
- * Encode-once variant of the sparse BP engine (the "fast path" of the
- * goodput axis): the error gradients are compressed to CT-CSR ONCE per
- * minibatch via SparsePlanCache — with the fused CtCsrMatrix::fromChw
- * builder, so the dense HWC staging transpose is never written — and
- * BP-data and BP-weights replay the same shared read-only plan.
- * Results are bit-for-bit identical to SparseBpEngine (same non-zero
- * replay order).
- */
-class SparseBpCachedEngine : public SparseBpEngine
-{
-  public:
-    explicit SparseBpCachedEngine(std::int64_t feature_tile = 0)
-        : SparseBpEngine(feature_tile)
-    {}
-
-    using SparseBpEngine::backwardData;
-    using SparseBpEngine::backwardWeights;
-
-    std::string name() const override { return "sparse-cached"; }
-
-    void backwardData(const ConvSpec &spec, const Tensor &eo,
-                      const Tensor &weights, Tensor &ei, ThreadPool &pool,
-                      const BpMask &mask) const override;
-    void backwardWeights(const ConvSpec &spec, const Tensor &eo,
-                         const Tensor &in, Tensor &dweights,
-                         ThreadPool &pool,
-                         const BpMask &mask) const override;
+    std::int64_t featureTile;
+    /** Deterministic per-image dW' reduction in [ky][kx][f][c]. */
+    mutable BatchReducer reducer_;
 };
 
 } // namespace spg

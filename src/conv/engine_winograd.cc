@@ -124,7 +124,7 @@ WinogradEngine::forward(const ConvSpec &spec, const Tensor &in,
 {
     SPG_TRACE_SCOPE("kernel", "winograd FP");
     checkForwardShapes(spec, in, weights, out);
-    if (!supportsGeometry(spec))
+    if (!appliesTo(spec, 0.0))
         fatal("winograd engine requires a 3x3 stride-1 convolution, "
               "got %s",
               spec.str().c_str());

@@ -16,8 +16,8 @@
  * and reused across all output features. Odd output rows/columns fall
  * back to the direct loop.
  *
- * Only 3x3, stride-1 geometry is supported (supportsGeometry()); the
- * tuner skips it elsewhere.
+ * Only 3x3, stride-1 geometry is supported (appliesTo()); the tuner
+ * skips it elsewhere.
  */
 
 #ifndef SPG_CONV_ENGINE_WINOGRAD_HH
@@ -39,7 +39,7 @@ class WinogradEngine : public ConvEngine
         return phase == Phase::Forward;
     }
     bool
-    supportsGeometry(const ConvSpec &spec) const override
+    appliesTo(const ConvSpec &spec, double) const override
     {
         return spec.fy == 3 && spec.fx == 3 && spec.sy == 1 &&
                spec.sx == 1;

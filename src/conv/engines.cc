@@ -3,7 +3,7 @@
 namespace spg {
 
 std::vector<std::unique_ptr<ConvEngine>>
-makeAllEngines()
+makeEngines()
 {
     std::vector<std::unique_ptr<ConvEngine>> engines;
     engines.push_back(std::make_unique<UnfoldGemmEngine>());
@@ -13,18 +13,8 @@ makeAllEngines()
     engines.push_back(std::make_unique<StencilEngine>());
     engines.push_back(std::make_unique<DirectEngine>());
     engines.push_back(std::make_unique<SparseBpEngine>());
-    engines.push_back(std::make_unique<SparseBpCachedEngine>());
-    return engines;
-}
-
-std::vector<std::unique_ptr<ConvEngine>>
-makeExtendedEngines()
-{
-    auto engines = makeAllEngines();
-    engines.push_back(std::make_unique<SparseWeightsFpEngine>());
-    engines.push_back(std::make_unique<SparseDirectFpEngine>());
-    engines.push_back(std::make_unique<FftConvEngine>());
     engines.push_back(std::make_unique<WinogradEngine>());
+    engines.push_back(std::make_unique<SparseDirectFpEngine>());
     return engines;
 }
 
@@ -33,30 +23,9 @@ makeEngine(const std::string &name)
 {
     if (name == "reference")
         return std::make_unique<ReferenceEngine>();
-    if (name == "parallel-gemm")
-        return std::make_unique<UnfoldGemmEngine>();
-    if (name == "gemm-in-parallel")
-        return std::make_unique<GemmInParallelEngine>();
-    if (name == "parallel-gemm-packed")
-        return std::make_unique<UnfoldGemmPackedEngine>();
-    if (name == "gemm-in-parallel-packed")
-        return std::make_unique<GemmInParallelPackedEngine>();
-    if (name == "stencil")
-        return std::make_unique<StencilEngine>();
-    if (name == "direct")
-        return std::make_unique<DirectEngine>();
-    if (name == "sparse")
-        return std::make_unique<SparseBpEngine>();
-    if (name == "sparse-cached")
-        return std::make_unique<SparseBpCachedEngine>();
-    if (name == "sparse-weights")
-        return std::make_unique<SparseWeightsFpEngine>();
-    if (name == "sparse-weights-direct")
-        return std::make_unique<SparseDirectFpEngine>();
-    if (name == "fft")
-        return std::make_unique<FftConvEngine>();
-    if (name == "winograd")
-        return std::make_unique<WinogradEngine>();
+    for (auto &engine : makeEngines())
+        if (engine->name() == name)
+            return std::move(engine);
     return nullptr;
 }
 

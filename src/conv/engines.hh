@@ -11,38 +11,27 @@
 
 #include "conv/engine.hh"
 #include "conv/engine_direct.hh"
-#include "conv/engine_fft.hh"
 #include "conv/engine_gemm.hh"
 #include "conv/engine_gemm_packed.hh"
 #include "conv/engine_sparse.hh"
 #include "conv/engine_sparse_direct.hh"
-#include "conv/engine_sparse_weights.hh"
 #include "conv/engine_stencil.hh"
 #include "conv/engine_winograd.hh"
 
 namespace spg {
 
 /**
- * @return one instance of every paper-set production engine (excludes
- * the reference oracle and extensions): parallel-gemm,
- * gemm-in-parallel, their packed-operand variants, stencil, direct,
- * sparse.
+ * @return one instance of every production engine (the reference
+ * oracle excluded): parallel-gemm, gemm-in-parallel, their
+ * packed-operand variants, stencil, direct, sparse, winograd and
+ * sparse-weights-direct. Each engine's supports() and appliesTo() say
+ * where it is a candidate; the tuner measures exactly those.
  */
-std::vector<std::unique_ptr<ConvEngine>> makeAllEngines();
+std::vector<std::unique_ptr<ConvEngine>> makeEngines();
 
 /**
- * @return the paper-set engines plus extensions (the two
- * weight-sparsity FP engines, the FFT FP engine and Winograd) — the
- * candidate set for tuning pruned or large-kernel models.
- */
-std::vector<std::unique_ptr<ConvEngine>> makeExtendedEngines();
-
-/**
- * @return the engine with the given name(), or nullptr when unknown.
- * Recognized names: "reference", "parallel-gemm", "gemm-in-parallel",
- * "parallel-gemm-packed", "gemm-in-parallel-packed", "stencil",
- * "direct", "sparse", "sparse-weights", "sparse-weights-direct",
- * "fft", "winograd".
+ * @return the engine with the given name() — any makeEngines() member
+ * or "reference" — or nullptr when unknown.
  */
 std::unique_ptr<ConvEngine> makeEngine(const std::string &name);
 

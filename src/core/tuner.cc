@@ -31,9 +31,7 @@ LayerPlan::enginesFor(Phase phase) const
 }
 
 Tuner::Tuner(TunerOptions options)
-    : opts(options),
-      engines(options.use_extensions ? makeExtendedEngines()
-                                     : makeAllEngines())
+    : opts(options), engines(makeEngines())
 {
     if (opts.reps < 1 || opts.batch < 1)
         fatal("tuner needs reps >= 1 and batch >= 1");
@@ -60,17 +58,15 @@ Tuner::measure(const ConvEngine &engine, Phase phase, const ConvSpec &spec,
     // Reproduce that here: drop the plan before each BP-data rep (so
     // the encode is charged to BP-data, not hidden by bestTimeSeconds'
     // min over warm reps) and leave it warm for BP-weights.
-    bool encode_once = engine.name() == "sparse-cached";
+    bool encode_once = engine.name() == "sparse";
     SparsePlanCache &plans = SparsePlanCache::global();
     SparsePlanCache::Stats before = plans.stats();
-    // The CSR-weights FP engines encode once per WEIGHT VERSION, not
+    // The CSR-weights FP engine encodes once per WEIGHT VERSION, not
     // per call: production amortizes the encode across a whole prune
     // interval, so the timed reps below run warm and the encode is
     // measured separately by one cold call up front.
-    bool wsparse_once =
-        phase == Phase::Forward &&
-        (engine.name() == "sparse-weights" ||
-         engine.name() == "sparse-weights-direct");
+    bool wsparse_once = phase == Phase::Forward &&
+                        engine.name() == "sparse-weights-direct";
     PoolStats sched_before = pool.stats();
 
     // When the layer will run with a fused ReLU, measure that path: FP
@@ -221,7 +217,7 @@ Tuner::tunePhases(LayerPlan &plan, const std::vector<Phase> &phases,
         std::string best_name;
         for (const auto &engine : engines) {
             if (!engine->supports(phase) ||
-                !engine->supportsGeometry(spec)) {
+                !engine->appliesTo(spec, weight_sparsity)) {
                 continue;
             }
             EngineTiming t = measure(*engine, phase, spec, in, weights,
@@ -350,7 +346,7 @@ Tuner::tuneServing(const ConvSpec &spec, std::int64_t max_batch,
         std::string best_name;
         for (const auto &engine : engines) {
             if (!engine->supports(Phase::Forward) ||
-                !engine->supportsGeometry(spec)) {
+                !engine->appliesTo(spec, weight_sparsity)) {
                 continue;
             }
             EngineTiming t =

@@ -31,11 +31,12 @@ struct EngineTiming
     double seconds = 0;
     /** Encode share attributable to this engine, in seconds (the
      *  encode-once engines only; zero when the phase replayed a
-     *  cached plan). For "sparse-cached" this is the per-call CT-CSR
-     *  encode inside `seconds`; for the CSR-weights FP engines it is
-     *  the once-per-weight-version encode measured OUTSIDE the timed
-     *  reps — production amortizes it across a whole prune interval,
-     *  so `seconds` is the steady-state warm cost. */
+     *  cached plan). For "sparse" this is the per-minibatch CT-CSR
+     *  encode inside the BP-data `seconds`; for the CSR-weights FP
+     *  engine it is the once-per-weight-version encode measured
+     *  OUTSIDE the timed reps — production amortizes it across a
+     *  whole prune interval, so `seconds` is the steady-state warm
+     *  cost. */
     double encode_seconds = 0;
     /** Actual zero fraction of the weight tensor the measurement ran
      *  with — the sparsity axis of the FP crossover decision. */
@@ -122,9 +123,6 @@ struct TunerOptions
     int retune_interval = 2;
     /** Sparsity change that forces a re-tune regardless of interval. */
     double sparsity_drift = 0.10;
-    /** Also consider the extension engines (winograd, fft,
-     *  sparse-weights) as candidates. */
-    bool use_extensions = false;
 };
 
 /**
@@ -137,8 +135,9 @@ class Tuner
     explicit Tuner(TunerOptions options = {});
 
     /**
-     * Measure all engines applicable to each phase of this layer at
-     * the given error sparsity and return the fastest set.
+     * Measure every engine that supports each phase and appliesTo()
+     * this layer, at the given error sparsity, and return the fastest
+     * set.
      *
      * @param spec Layer geometry.
      * @param sparsity Expected sparsity of the output-error gradients.

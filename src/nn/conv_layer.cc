@@ -37,11 +37,12 @@ ConvLayer::ConvLayer(std::string label, const ConvSpec &spec, Rng &rng)
     float stddev = std::sqrt(
         2.0f / static_cast<float>(spec.nc * spec.fy * spec.fx));
     weights_.fillGaussian(rng, stddev);
-    // Extended set: the tuner may deploy an extension engine (e.g.
-    // sparse-weights-direct for a pruned layer), so the deploy-side
-    // cache must know every tunable engine, not just the paper set.
-    for (auto &engine : makeExtendedEngines())
-        engine_cache[engine->name()] = std::move(engine);
+    // Every registry engine that can apply to this geometry at some
+    // pruning level (weight sparsity 1 is the most a schedule reaches);
+    // the tuner narrows further with the layer's actual sparsity.
+    for (auto &engine : makeEngines())
+        if (engine->appliesTo(spec_, /*weight_sparsity=*/1.0))
+            engine_cache[engine->name()] = std::move(engine);
     refreshSpanNames();
     eo_sparsity_gauge =
         &obs::Metrics::global().gauge("conv." + this->label +
@@ -68,8 +69,9 @@ ConvLayer::engineByName(const std::string &name) const
 {
     auto it = engine_cache.find(name);
     if (it == engine_cache.end())
-        fatal("conv layer '%s': unknown engine '%s'", label.c_str(),
-              name.c_str());
+        fatal("conv layer '%s': engine '%s' is unknown or does not "
+              "apply to %s",
+              label.c_str(), name.c_str(), spec_.str().c_str());
     return *it->second;
 }
 

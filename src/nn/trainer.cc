@@ -495,20 +495,6 @@ Trainer::joinDrift(ThreadPool &pool)
     if (pending_drift.empty())
         return;
 
-    // The model only covers the paper's engines plus the CSR-weights
-    // FP engines; the remaining extensions (fft, winograd) and the
-    // reference have no model to drift from.
-    auto modeled = [](const std::string &engine) {
-        return engine == "parallel-gemm" ||
-               engine == "parallel-gemm-packed" ||
-               engine == "gemm-in-parallel" ||
-               engine == "gemm-in-parallel-packed" ||
-               engine == "stencil" || engine == "direct" ||
-               engine == "sparse" || engine == "sparse-cached" ||
-               engine == "sparse-weights" ||
-               engine == "sparse-weights-direct";
-    };
-
     // Calibrate the machine model from a measured single-core SGEMM
     // rate, exactly like the model-validation tests do.
     constexpr std::int64_t kDim = 256;
@@ -527,7 +513,8 @@ Trainer::joinDrift(ThreadPool &pool)
     int cores = pool.threads();
 
     for (const PendingDrift &sample : pending_drift) {
-        if (!modeled(sample.engine))
+        // Engines without a model have nothing to drift from.
+        if (!hasConvModel(sample.engine))
             continue;
         SimResult modeled_result = modelConvPhase(
             machine, sample.spec, sample.phase, sample.engine, opts.batch,

@@ -135,8 +135,8 @@ class Trainer
      * run(): every epoch contributes one sample per conv layer per
      * phase, joining the measured per-step time against the simcpu
      * prediction for the engine that actually ran (on a host-calibrated
-     * machine model at the pool's core count). Engines the model does
-     * not cover (fft, winograd, ...) are skipped.
+     * machine model at the pool's core count). Engines without a model
+     * (see hasConvModel()) are skipped.
      */
     const obs::DriftReport &driftReport() const { return drift; }
 

@@ -119,12 +119,11 @@ traceNowNs()
 
 struct Tracer::ThreadRec
 {
-    explicit ThreadRec(std::size_t capacity, int tid)
-        : ring(capacity), tid(tid)
-    {
-    }
+    explicit ThreadRec(int tid) : tid(tid) {}
 
-    TraceRing ring;
+    /** Allocated by the owning thread on its first record(), under the
+     *  registry lock, so threads that never trace own no buffer. */
+    std::unique_ptr<TraceRing> ring;
     int tid;
     std::string name;
 };
@@ -144,8 +143,8 @@ Tracer::threadRec()
     // (pool destruction, detached workers) stays valid.
     if (rec == nullptr) {
         std::lock_guard<std::mutex> lock(mu);
-        threads.push_back(std::make_unique<ThreadRec>(
-            ring_capacity, static_cast<int>(threads.size())));
+        threads.push_back(
+            std::make_unique<ThreadRec>(static_cast<int>(threads.size())));
         rec = threads.back().get();
     }
     return *rec;
@@ -184,7 +183,18 @@ Tracer::setCapacity(std::size_t events)
 void
 Tracer::record(const TraceEvent &event)
 {
-    threadRec().ring.push(event);
+    ThreadRec &rec = threadRec();
+    if (!rec.ring) {
+        std::lock_guard<std::mutex> lock(mu);
+        rec.ring = std::make_unique<TraceRing>(ring_capacity);
+    }
+    rec.ring->push(event);
+}
+
+bool
+Tracer::threadOwnsRing()
+{
+    return threadRec().ring != nullptr;
 }
 
 void
@@ -225,8 +235,10 @@ Tracer::flushToString()
                ",\"name\":\"thread_name\",\"args\":{\"name\":";
         appendJsonString(out, name.c_str());
         out += "}}";
-        dropped += rec->ring.dropped();
-        for (const TraceEvent &ev : rec->ring.snapshot()) {
+        if (!rec->ring)
+            continue;
+        dropped += rec->ring->dropped();
+        for (const TraceEvent &ev : rec->ring->snapshot()) {
             out += ",\n{\"ph\":\"";
             out += ev.ph;
             out += "\",\"pid\":0,\"tid\":" + std::to_string(rec->tid);
@@ -262,7 +274,7 @@ Tracer::flushToString()
             }
             out += "}";
         }
-        rec->ring.clear();
+        rec->ring->clear();
     }
     out += "\n]}\n";
     if (dropped > 0) {
@@ -289,7 +301,8 @@ Tracer::clear()
 {
     std::lock_guard<std::mutex> lock(mu);
     for (const auto &rec : threads)
-        rec->ring.clear();
+        if (rec->ring)
+            rec->ring->clear();
 }
 
 std::uint64_t
@@ -298,7 +311,8 @@ Tracer::droppedEvents() const
     std::lock_guard<std::mutex> lock(mu);
     std::uint64_t dropped = 0;
     for (const auto &rec : threads)
-        dropped += rec->ring.dropped();
+        if (rec->ring)
+            dropped += rec->ring->dropped();
     return dropped;
 }
 

@@ -7,11 +7,13 @@
  * per-worker behaviour. This tracer makes every training run
  * inspectable in Perfetto / chrome://tracing:
  *
- *  - Each thread owns a fixed-capacity ring of TraceEvents; recording
- *    a span is two clock reads plus one slot write into thread-private
- *    storage — no locks, no allocation, newest-N semantics on
- *    overflow (the number of overwritten events is reported as the
- *    `trace.dropped_events` metric at flush time).
+ *  - Each thread owns a fixed-capacity ring of TraceEvents, allocated
+ *    on its first recorded event (threads that never trace, e.g. pool
+ *    workers named while tracing is off, own none); recording a span
+ *    is two clock reads plus one slot write into thread-private
+ *    storage — no locks, no allocation after the first event,
+ *    newest-N semantics on overflow (the number of overwritten events
+ *    is reported as the `trace.dropped_events` metric at flush time).
  *  - Spans are scoped (SPG_TRACE_SCOPE emits one complete "X" event at
  *    scope exit) or explicit begin/end ("B"/"E") for ranges that do
  *    not nest lexically; async "b"/"e" pairs carry an id so
@@ -157,10 +159,15 @@ class Tracer
      */
     void setCapacity(std::size_t events);
 
-    /** Record one event into the calling thread's ring. */
+    /** Record one event into the calling thread's ring (allocating the
+     *  ring on the thread's first event). */
     void record(const TraceEvent &event);
 
-    /** Name the calling thread's lane in the trace ("pool worker 3"). */
+    /** @return true once the calling thread has allocated its ring. */
+    bool threadOwnsRing();
+
+    /** Name the calling thread's lane in the trace ("pool worker 3").
+     *  Allocates no ring. */
     void setThreadName(const std::string &name);
 
     /**

@@ -62,7 +62,6 @@ Server::warmup()
         // identical, so the plan transfers.
         TunerOptions topts;
         topts.reps = opts_.tuner_reps;
-        topts.use_extensions = opts_.use_extensions;
         Tuner tuner(topts);
         plans_.clear();
         plan_labels_.clear();

@@ -67,8 +67,6 @@ struct ServerOptions
     /** Run the serving-mode tuner at warmup; without it every bucket
      *  serves on the layers' default engine assignment. */
     bool tune = true;
-    /** Let the tuner consider the extension engines too. */
-    bool use_extensions = false;
     /** Timed reps per tuner measurement. */
     int tuner_reps = 3;
     /** Weight-init seed for the replicas (same seed => identical

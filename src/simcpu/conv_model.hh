@@ -60,13 +60,18 @@ SimResult modelGemmInParallelMm(const MachineModel &machine,
                                 int cores);
 
 /**
+ * @return true when modelConvPhase() has a model for this engine:
+ * every registry engine except winograd (and the reference oracle).
+ */
+bool hasConvModel(const std::string &engine);
+
+/**
  * Full engine execution of one layer phase over a minibatch.
  *
  * @param machine Modeled machine.
  * @param spec Layer geometry.
  * @param phase FP / BP-data / BP-weights.
- * @param engine Engine name ("parallel-gemm", "gemm-in-parallel",
- *        "stencil", "direct", "sparse").
+ * @param engine Engine name; hasConvModel(engine) must hold.
  * @param batch Minibatch size.
  * @param cores Active cores.
  * @param sparsity Fraction of zeros in the output-error gradients
@@ -85,9 +90,9 @@ SimResult modelGemmInParallelMm(const MachineModel &machine,
  *        only the mask read. The standalone elementwise ReLU pass the
  *        fusion eliminates (see modelReluPassSeconds) is NOT charged.
  * @param weight_sparsity Zero fraction of the weight tensor — consumed
- *        by the CSR-weights FP engines ("sparse-weights",
- *        "sparse-weights-direct"), whose compute and weight traffic
- *        scale with the surviving taps. Ignored by the dense engines.
+ *        by the CSR-weights FP engine ("sparse-weights-direct"), whose
+ *        compute and weight traffic scale with the surviving taps.
+ *        Ignored by the dense engines.
  * @return Simulated result; useful_flops reflects goodput (non-zero
  *         work) for BP phases.
  */

@@ -96,12 +96,13 @@ TEST(Tuner, PicksSupportedEnginesForEveryPhase)
     EXPECT_DOUBLE_EQ(plan.tuned_sparsity, 0.9);
 
     // FP candidates: parallel-gemm, gemm-in-parallel, their packed
-    // variants, stencil, and direct.
-    EXPECT_EQ(plan.timings.at(Phase::Forward).size(), 6u);
+    // variants, stencil, direct, and (3x3 stride 1) winograd; the
+    // CSR-weights engine sits out on an unpruned layer.
+    EXPECT_EQ(plan.timings.at(Phase::Forward).size(), 7u);
     // BP candidates: parallel-gemm, gemm-in-parallel, the packed
-    // variants, direct, sparse, and sparse-cached.
-    EXPECT_EQ(plan.timings.at(Phase::BackwardData).size(), 7u);
-    EXPECT_EQ(plan.timings.at(Phase::BackwardWeights).size(), 7u);
+    // variants, direct, and sparse.
+    EXPECT_EQ(plan.timings.at(Phase::BackwardData).size(), 6u);
+    EXPECT_EQ(plan.timings.at(Phase::BackwardWeights).size(), 6u);
     for (const auto &[phase, timings] : plan.timings) {
         for (const auto &timing : timings)
             EXPECT_GT(timing.seconds, 0.0) << phaseName(phase);
@@ -216,31 +217,35 @@ TEST(Tuner, ExtensionsRespectGeometryGates)
     TunerOptions opts;
     opts.reps = 1;
     opts.batch = 2;
-    opts.use_extensions = true;
     Tuner tuner(opts);
     ThreadPool pool(1);
 
-    auto fp_engines = [&](const ConvSpec &spec) {
-        LayerPlan plan = tuner.tune(spec, 0.0, pool);
+    auto fp_engines = [&](const ConvSpec &spec, double weight_sparsity) {
+        LayerPlan plan = tuner.tune(spec, 0.0, pool, false,
+                                    weight_sparsity);
         std::vector<std::string> names;
         for (const auto &t : plan.timings.at(Phase::Forward))
             names.push_back(t.engine);
         return names;
     };
+    auto has = [](const std::vector<std::string> &names,
+                  const char *name) {
+        return std::find(names.begin(), names.end(), name) !=
+               names.end();
+    };
 
-    // 3x3 stride-1: winograd is a candidate.
-    auto on3x3 = fp_engines(ConvSpec{10, 10, 2, 3, 3, 3, 1, 1});
-    EXPECT_NE(std::find(on3x3.begin(), on3x3.end(), "winograd"),
-              on3x3.end());
-    EXPECT_NE(std::find(on3x3.begin(), on3x3.end(), "fft"),
-              on3x3.end());
+    // 3x3 stride-1: winograd is a candidate; unpruned, the CSR-weights
+    // engine is not.
+    auto on3x3 = fp_engines(ConvSpec{10, 10, 2, 3, 3, 3, 1, 1}, 0.0);
+    EXPECT_TRUE(has(on3x3, "winograd"));
+    EXPECT_FALSE(has(on3x3, "sparse-weights-direct"));
 
-    // 5x5: winograd must be skipped, fft stays.
-    auto on5x5 = fp_engines(ConvSpec{10, 10, 2, 3, 5, 5, 1, 1});
-    EXPECT_EQ(std::find(on5x5.begin(), on5x5.end(), "winograd"),
-              on5x5.end());
-    EXPECT_NE(std::find(on5x5.begin(), on5x5.end(), "fft"),
-              on5x5.end());
+    // 5x5 pruned: winograd is skipped, the CSR-weights engine joins
+    // without any option.
+    auto on5x5 = fp_engines(ConvSpec{10, 10, 2, 3, 5, 5, 1, 1}, 0.8);
+    EXPECT_FALSE(has(on5x5, "winograd"));
+    EXPECT_TRUE(has(on5x5, "sparse-weights-direct"));
+    EXPECT_EQ(on5x5.size(), 7u);
 }
 
 TEST(Suites, Table2GeometriesAreValid)

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for synchronous data-parallel training and the cluster
- * throughput model.
+ * Tests for synchronous data-parallel training and its modeled
+ * scaling.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/net_config.hh"
-#include "distrib/cluster_model.hh"
 #include "distrib/data_parallel.hh"
 #include "nn/trainer.hh"
 
@@ -364,44 +363,6 @@ TEST(DataParallelDeath, RejectsBatchLargerThanDataset)
     opts.global_batch = 32;  // > dataset.count(): zero steps per epoch
     EXPECT_DEATH(DataParallelTrainer(tinyConfig(), 1, ds, opts),
                  "global batch");
-}
-
-TEST(ClusterModel, SingleWorkerHasNoSyncCost)
-{
-    ClusterModel cluster;
-    EXPECT_DOUBLE_EQ(cluster.syncSeconds(1), 0.0);
-    EXPECT_NEAR(cluster.imagesPerSecond(1, 256),
-                cluster.worker_images_per_s, 1e-6);
-    EXPECT_NEAR(cluster.efficiency(1, 256), 1.0, 1e-9);
-}
-
-TEST(ClusterModel, EfficiencyDropsWithWorkersAndRecoversWithBatch)
-{
-    ClusterModel cluster;
-    // More workers, fixed batch: efficiency monotonically drops.
-    double prev = 1.0;
-    for (int k : {2, 4, 8, 16, 32}) {
-        double eff = cluster.efficiency(k, 256);
-        EXPECT_LT(eff, prev) << k;
-        prev = eff;
-    }
-    // Bigger global batch amortizes the sync: efficiency recovers.
-    EXPECT_GT(cluster.efficiency(16, 4096),
-              cluster.efficiency(16, 256));
-}
-
-TEST(ClusterModel, FasterWorkersShiftTheCommKnee)
-{
-    // spg-CNN's point in §6: with faster workers, the same cluster
-    // hits the communication wall at smaller scales — efficiency at a
-    // fixed configuration is lower, but absolute throughput is higher.
-    ClusterModel slow;
-    slow.worker_images_per_s = 250;
-    ClusterModel fast = slow;
-    fast.worker_images_per_s = 2000;
-    EXPECT_GT(fast.imagesPerSecond(16, 512),
-              slow.imagesPerSecond(16, 512));
-    EXPECT_LT(fast.efficiency(16, 512), slow.efficiency(16, 512));
 }
 
 } // namespace

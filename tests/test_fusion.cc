@@ -39,6 +39,10 @@ expectBitEqual(const Tensor &a, const Tensor &b, const std::string &what)
     }
 }
 
+/** Weight sparsity passed to appliesTo(): any pruned layer, so every
+ *  engine that can run a geometry joins the sweep. */
+constexpr double kPruned = 1.0;
+
 /** Geometries the engine sweep runs: generic, strided, odd, 3x3 (so
  *  winograd participates), and a 1x1-output corner. */
 std::vector<ConvSpec>
@@ -95,9 +99,9 @@ TEST(FusedForward, BitForBitAcrossAllEngines)
 {
     ThreadPool pool(3);
     for (const ConvSpec &spec : fusionSpecs()) {
-        for (const auto &engine : makeExtendedEngines()) {
+        for (const auto &engine : makeEngines()) {
             if (!engine->supports(Phase::Forward) ||
-                !engine->supportsGeometry(spec)) {
+                !engine->appliesTo(spec, kPruned)) {
                 continue;
             }
             FusedData d = makeData(spec, pool, false);
@@ -143,8 +147,8 @@ TEST(FusedBackward, BitForBitAcrossAllEngines)
     ThreadPool pool(3);
     SparsePlanCache &plans = SparsePlanCache::global();
     for (const ConvSpec &spec : fusionSpecs()) {
-        for (const auto &engine : makeExtendedEngines()) {
-            if (!engine->supportsGeometry(spec))
+        for (const auto &engine : makeEngines()) {
+            if (!engine->appliesTo(spec, kPruned))
                 continue;
             FusedData d = makeData(spec, pool, false);
             Tensor eo_masked(
@@ -196,7 +200,7 @@ TEST(FusedBackward, AllNegativePreActivationsGiveZeroGradients)
                                 << " unexpectedly positive";
     BpMask mask{d.mask.data()};
 
-    for (const auto &engine : makeAllEngines()) {
+    for (const auto &engine : makeEngines()) {
         if (engine->supports(Phase::BackwardData)) {
             Tensor ei(Shape{kBatch, spec.nc, spec.ny, spec.nx});
             ei.fill(7.0f);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <string>
@@ -101,17 +102,25 @@ TEST(Trace, SpansNestAcrossPoolWorkers)
     ThreadPool pool(4);
     {
         SPG_TRACE_SCOPE("test", "outer");
-        // Repeat the region, yielding inside each item, so on a
-        // single-core host the claiming thread cedes its timeslice and
-        // every pool worker gets a chance to wake up and record at
-        // least one participation span.
-        for (int round = 0; round < 20; ++round) {
-            pool.parallelFor2D(
-                8, 8, [&](std::int64_t, std::int64_t, int) {
-                    SPG_TRACE_SCOPE("test", "inner");
-                    std::this_thread::yield();
-                });
-        }
+        // Force a second participant: whoever claims the first item
+        // holds it (yielding, with a timeout) until another participant
+        // has claimed one, so the region spans at least two lanes on
+        // any host, however the workers are scheduled.
+        std::atomic<int> first{-1};
+        std::atomic<bool> second{false};
+        pool.parallelFor2D(8, 8, [&](std::int64_t, std::int64_t, int who) {
+            SPG_TRACE_SCOPE("test", "inner");
+            int expected = -1;
+            if (!first.compare_exchange_strong(expected, who) &&
+                expected != who)
+                second.store(true);
+            auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (!second.load() &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+        });
+        EXPECT_TRUE(second.load()) << "no second participant in 10 s";
     }
     std::string doc = obs::Tracer::global().flushToString();
 
@@ -152,8 +161,26 @@ TEST(Trace, SpansNestAcrossPoolWorkers)
         if (name->string == "region")
             region_tids.insert(ev.find("tid")->number);
     }
-    EXPECT_EQ(inner_count, 20 * 64);
+    EXPECT_EQ(inner_count, 64);
     EXPECT_GE(region_tids.size(), 2u);
+}
+
+TEST(Trace, NamedThreadOwnsNoRingWhileTracingIsOff)
+{
+    // Naming a lane (every pool worker does at startup) must not
+    // allocate an event ring; the first recorded event does.
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.disable();
+    bool named_owns = true, traced_owns = false;
+    std::thread([&] {
+        obs::setCurrentThreadName("idle lane");
+        named_owns = tracer.threadOwnsRing();
+        tracer.record(obs::TraceEvent{});
+        traced_owns = tracer.threadOwnsRing();
+    }).join();
+    EXPECT_FALSE(named_owns);
+    EXPECT_TRUE(traced_owns);
+    tracer.clear();
 }
 
 TEST(Trace, FlushedJsonRoundTrips)
@@ -381,7 +408,7 @@ TEST(Drift, JsonReportParses)
     obs::DriftSample s;
     s.label = "conv1";
     s.phase = "BP-data";
-    s.engine = "sparse-cached";
+    s.engine = "sparse";
     s.region = "R5";
     s.measured_seconds = 2e-3;
     s.modeled_seconds = 1e-3;
@@ -395,7 +422,7 @@ TEST(Drift, JsonReportParses)
     ASSERT_NE(by_region, nullptr);
     ASSERT_NE(by_region->find("R5"), nullptr);
     const JsonValue &sample = root.find("samples")->array.at(0);
-    EXPECT_EQ(sample.find("engine")->string, "sparse-cached");
+    EXPECT_EQ(sample.find("engine")->string, "sparse");
     EXPECT_NEAR(sample.find("rel_error")->number, 0.5, 1e-9);
 }
 

@@ -321,42 +321,36 @@ TEST(ConvModel, SparseCrossoverNearPaperThreshold)
 
 TEST(ConvModel, EncodeOnceSparseChargesEncodeTrafficOnce)
 {
-    // The encode-once engine pays the CT-CSR build in BP-data (the
-    // fused builder trades the HWC staging round trip for a second
-    // source read, so that phase models identically) and only the
-    // fingerprint check + plan read in BP-weights. The traffic saving
-    // only shows in modeled TIME when the phase is memory-bound, so we
-    // require a strict win on at least one layer at extreme sparsity
-    // and no regression anywhere.
+    // The sparse engine pays the CT-CSR build in BP-data — fingerprint
+    // plus the fused builder's two source reads (3|EO|) and the plan
+    // write (2 nnz) — while BP-weights replays that plan: one
+    // fingerprint read of EO plus the plan read. Both phases share the
+    // 2 nnz plan term, so per image the EO-dependent traffic of
+    // BP-weights is exactly 2|EO| below BP-data's once the phases'
+    // own operand terms (3|W| + 4|EI| vs 3|I| + 4|W|) are removed.
     MachineModel m = MachineModel::xeonE5_2650();
-    int strict_wins = 0;
+    const std::int64_t batch = 64;
     for (const auto &entry : table1Convolutions()) {
+        const ConvSpec &s = entry.spec;
         for (double sparsity : {0.5, 0.9, 0.99}) {
-            double d_plain =
-                modelConvPhase(m, entry.spec, Phase::BackwardData,
-                               "sparse", 64, 16, sparsity)
-                    .seconds;
-            double d_cached =
-                modelConvPhase(m, entry.spec, Phase::BackwardData,
-                               "sparse-cached", 64, 16, sparsity)
-                    .seconds;
-            EXPECT_DOUBLE_EQ(d_cached, d_plain) << "ID " << entry.id;
-
-            double w_plain =
-                modelConvPhase(m, entry.spec, Phase::BackwardWeights,
-                               "sparse", 64, 16, sparsity)
-                    .seconds;
-            double w_cached =
-                modelConvPhase(m, entry.spec, Phase::BackwardWeights,
-                               "sparse-cached", 64, 16, sparsity)
-                    .seconds;
-            EXPECT_LE(w_cached, w_plain)
+            double data =
+                modelConvPhase(m, s, Phase::BackwardData, "sparse",
+                               batch, 16, sparsity)
+                    .total_bytes;
+            double weights =
+                modelConvPhase(m, s, Phase::BackwardWeights, "sparse",
+                               batch, 16, sparsity)
+                    .total_bytes;
+            double own_data = 3.0 * s.weightElems() + 4.0 * s.inputElems();
+            double own_weights =
+                3.0 * s.inputElems() + 4.0 * s.weightElems();
+            double eo_gap = (data / (4.0 * batch) - own_data) -
+                            (weights / (4.0 * batch) - own_weights);
+            EXPECT_NEAR(eo_gap, 2.0 * s.outputElems(),
+                        1e-6 * s.outputElems())
                 << "ID " << entry.id << " s=" << sparsity;
-            if (sparsity == 0.99 && w_cached < w_plain)
-                ++strict_wins;
         }
     }
-    EXPECT_GT(strict_wins, 0);
 }
 
 TEST(ConvModel, GoodputDropsAtExtremeSparsity)

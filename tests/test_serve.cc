@@ -83,7 +83,7 @@ TEST(ServeForward, InferenceMatchesTrainingAcrossEnginesAndBatches)
         "parallel-gemm",          "gemm-in-parallel",
         "parallel-gemm-packed",   "gemm-in-parallel-packed",
         "stencil",                "direct",
-        "sparse-weights",
+        "sparse-weights-direct",
     };
     NetConfig config = parseNetConfig(kSmallNet);
     ThreadPool pool(2);

@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the weight-sparsity FP engines (extension): the row-AXPY
- * "sparse-weights" engine and the register-tiled
- * "sparse-weights-direct" engine, plus the once-per-weight-version
- * CSR plan cache both share.
+ * Tests for the weight-sparsity FP engine: the register-tiled
+ * "sparse-weights-direct" engine and its once-per-weight-version CSR
+ * plan cache.
  */
 
 #include <gtest/gtest.h>
@@ -37,23 +36,29 @@ class SparseWeightsSweep
 
 TEST_P(SparseWeightsSweep, MatchesReference)
 {
+    // Through the registry, on a 3-worker pool with a poisoned output:
+    // the engine the tuner deploys must overwrite every pixel.
     const ConvSpec &s = spec();
     double w_sparsity = std::get<1>(GetParam());
-    ThreadPool pool(2);
+    ThreadPool pool(3);
     Rng rng(700 + std::get<0>(GetParam()));
 
-    Tensor in(Shape{2, s.nc, s.ny, s.nx});
+    Tensor in(Shape{3, s.nc, s.ny, s.nx});
     Tensor w(Shape{s.nf, s.nc, s.fy, s.fx});
     in.fillUniform(rng);
     w.fillUniform(rng);
     w.sparsify(rng, w_sparsity);
 
-    Tensor ref(Shape{2, s.nf, s.outY(), s.outX()});
-    Tensor got(Shape{2, s.nf, s.outY(), s.outX()});
+    Tensor ref(Shape{3, s.nf, s.outY(), s.outX()});
+    Tensor got(Shape{3, s.nf, s.outY(), s.outX()});
+    got.fill(-9.0f);
     ReferenceEngine().forward(s, in, w, ref, pool);
-    SparseWeightsFpEngine().forward(s, in, w, got, pool);
+    auto engine = makeEngine("sparse-weights-direct");
+    ASSERT_NE(engine, nullptr);
+    engine->forward(s, in, w, got, pool);
     EXPECT_TRUE(allClose(got, ref, 1e-3f, 1e-4f))
         << "maxdiff=" << maxAbsDiff(got, ref);
+    PackedWeightCache::global().invalidate(w.data());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -204,42 +209,44 @@ TEST_P(WeightPlanCacheTest, EncodesOncePerWeightVersion)
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, WeightPlanCacheTest,
-                         ::testing::Values("sparse-weights",
-                                           "sparse-weights-direct"),
-                         [](const auto &info) {
-                             return info.param ==
-                                            std::string("sparse-weights")
-                                        ? "axpy"
-                                        : "direct";
-                         });
+                         ::testing::Values("sparse-weights-direct"),
+                         [](const auto &) { return "direct"; });
 
 TEST(SparseWeights, AllZeroWeightsGiveZeroOutput)
 {
-    ConvSpec s{8, 8, 2, 3, 3, 3, 1, 1};
-    ThreadPool pool(1);
-    Rng rng(1);
-    Tensor in(Shape{1, s.nc, s.ny, s.nx});
-    in.fillUniform(rng);
-    Tensor w(Shape{s.nf, s.nc, s.fy, s.fx});  // zeros
-    Tensor out(Shape{1, s.nf, s.outY(), s.outX()});
-    out.fill(7.0f);
-    SparseWeightsFpEngine().forward(s, in, w, out, pool);
-    EXPECT_EQ(out.maxAbs(), 0.0f);
+    // Unit-stride and strided rows: no surviving tap means every pixel
+    // is written as an exact zero.
+    for (ConvSpec s : {ConvSpec{8, 8, 2, 3, 3, 3, 1, 1},
+                       ConvSpec{9, 9, 2, 3, 3, 3, 2, 2}}) {
+        ThreadPool pool(1);
+        Rng rng(1);
+        Tensor in(Shape{1, s.nc, s.ny, s.nx});
+        in.fillUniform(rng);
+        Tensor w(Shape{s.nf, s.nc, s.fy, s.fx});  // zeros
+        Tensor out(Shape{1, s.nf, s.outY(), s.outX()});
+        out.fill(7.0f);
+        SparseDirectFpEngine().forward(s, in, w, out, pool);
+        EXPECT_EQ(out.maxAbs(), 0.0f) << s.str();
+        PackedWeightCache::global().invalidate(w.data());
+    }
 }
 
 TEST(SparseWeights, RegistryIntegration)
 {
-    for (const char *name : {"sparse-weights", "sparse-weights-direct"}) {
-        auto engine = makeEngine(name);
-        ASSERT_NE(engine, nullptr) << name;
-        EXPECT_EQ(engine->name(), name);
-        EXPECT_TRUE(engine->supports(Phase::Forward));
-        EXPECT_FALSE(engine->supports(Phase::BackwardData));
-        EXPECT_FALSE(engine->supports(Phase::BackwardWeights));
-    }
-    // Extended set = paper set + sparse-weights, sparse-weights-direct,
-    // fft, winograd.
-    EXPECT_EQ(makeExtendedEngines().size(), makeAllEngines().size() + 4);
+    auto engine = makeEngine("sparse-weights-direct");
+    ASSERT_NE(engine, nullptr);
+    EXPECT_EQ(engine->name(), "sparse-weights-direct");
+    EXPECT_TRUE(engine->supports(Phase::Forward));
+    EXPECT_FALSE(engine->supports(Phase::BackwardData));
+    EXPECT_FALSE(engine->supports(Phase::BackwardWeights));
+    // A registry member, a tuner candidate only on pruned layers.
+    int in_registry = 0;
+    for (const auto &e : makeEngines())
+        in_registry += e->name() == engine->name();
+    EXPECT_EQ(in_registry, 1);
+    const ConvSpec s{8, 8, 2, 3, 5, 5, 1, 1};
+    EXPECT_FALSE(engine->appliesTo(s, 0.0));
+    EXPECT_TRUE(engine->appliesTo(s, 0.3));
 }
 
 TEST(SparseWeights, FasterWithPrunedWeights)
@@ -258,7 +265,7 @@ TEST(SparseWeights, FasterWithPrunedWeights)
     pruned_w.sparsify(prng, 0.95);
     Tensor out(Shape{2, s.nf, s.outY(), s.outX()});
 
-    SparseWeightsFpEngine engine;
+    SparseDirectFpEngine engine;
     auto time_of = [&](const Tensor &w) {
         engine.forward(s, in, w, out, pool);  // warm-up
         Stopwatch sw;

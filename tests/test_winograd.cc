@@ -54,10 +54,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Winograd, GeometryGate)
 {
     WinogradEngine engine;
-    EXPECT_TRUE(engine.supportsGeometry(ConvSpec::square(8, 2, 2, 3)));
-    EXPECT_FALSE(engine.supportsGeometry(ConvSpec::square(8, 2, 2, 5)));
+    EXPECT_TRUE(engine.appliesTo(ConvSpec::square(8, 2, 2, 3), 0.0));
+    EXPECT_FALSE(engine.appliesTo(ConvSpec::square(8, 2, 2, 5), 0.0));
     EXPECT_FALSE(
-        engine.supportsGeometry(ConvSpec::square(8, 2, 2, 3, 2)));
+        engine.appliesTo(ConvSpec::square(8, 2, 2, 3, 2), 0.0));
     EXPECT_TRUE(engine.supports(Phase::Forward));
     EXPECT_FALSE(engine.supports(Phase::BackwardData));
 }
@@ -81,7 +81,7 @@ TEST(Winograd, RegistryIntegration)
     // Generic engines accept any geometry by default.
     EXPECT_TRUE(
         makeEngine("gemm-in-parallel")
-            ->supportsGeometry(ConvSpec::square(8, 2, 2, 5)));
+            ->appliesTo(ConvSpec::square(8, 2, 2, 5), 0.0));
 }
 
 } // namespace

@@ -34,7 +34,17 @@ if [[ $# -eq 0 ]]; then
     SPG_PERF=off ctest --output-on-failure -j "$(nproc)"
     ctest --output-on-failure -j "$(nproc)"
 else
-    ctest --output-on-failure -j "$(nproc)" "$@"
+    # A filter that matches nothing must fail, not pass silently.
+    ctest --output-on-failure -j "$(nproc)" --no-tests=error "$@"
+fi
+
+# Scheduling-independence gate: the bit-for-bit suites must pass
+# repeatedly, not just once — a result that depends on work stealing
+# or pool size fails some of 20 runs. Skipped when a test filter was
+# passed.
+if [[ $# -eq 0 ]]; then
+    ctest --output-on-failure --no-tests=error --repeat until-fail:20 \
+        -R 'FusedBackward|FusedNetwork|Trace\.|Determinism'
 fi
 
 # Trace smoke: a 1-epoch traced training run must emit a valid Chrome
@@ -82,10 +92,10 @@ if [[ $# -eq 0 ]]; then
 fi
 
 # Weight-sparsity crossover gate: regenerate the CSR-weights bench and
-# diff it against the committed baseline. The direct-vs-axpy speedups
+# diff it against the committed baseline. The direct-vs-dense speedups
 # are ratios of interleaved measurements so drift largely cancels, but
 # the dense-engine cells run a different code path from the sparse
-# ones, so the seconds tolerance stays wide. The encode_ms cells are
+# one, so the seconds tolerance stays wide. The encode_ms cells are
 # informational (µs-scale, jittery) and are not gated. Skipped when a
 # test filter was passed.
 if [[ $# -eq 0 ]]; then
@@ -138,7 +148,10 @@ fi
 # the pruning/mask/checkpoint machinery are exactly the sort of
 # off-by-one indexing ASan catches, and the PackedWeightCache is shared
 # mutable state the TSan run must prove race-free under the
-# plane-parallel engines. The distrib suites (DataParallel,
+# plane-parallel engines. The Determinism suite rides along too: its
+# pool-size sweep drives every engine's chunked BP-weights reduction
+# across 1/2/4 workers, the schedule TSan must prove race-free. The
+# distrib suites (DataParallel,
 # Allreduce, GradCompress, Exchange) join both runs: the exchange
 # scheduler's in-place K-way averaging walks raw gradient spans ASan
 # must prove in-bounds, and the replica fan-out over the shared pool
@@ -156,6 +169,6 @@ fi
 if [[ $# -eq 0 && -z "${SPG_SANITIZE:-}" ]]; then
     for san in address thread; do
         SPG_SANITIZE="$san" "$(cd .. && pwd)/tools/check.sh" \
-            -R 'Direct|Blocked|Nchwc|SparseWeight|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|Perf|Affinity|Rapl|DataParallel|Allreduce|GradCompress|Exchange'
+            -R 'Determinism|Direct|Blocked|SparseWeights|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|PerfCnt|Affinity|Rapl|DataParallel|Allreduce|GradCompress|ExchangeSched'
     done
 fi

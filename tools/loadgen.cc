@@ -117,7 +117,6 @@ main(int argc, char **argv)
     cli.addInt("threads", 1, "pool threads per instance");
     cli.addInt("tuner-reps", 3, "timed reps per tuner measurement");
     cli.addBool("no-tune", false, "skip the serving tuner");
-    cli.addBool("extensions", false, "tuner considers extensions");
     cli.addInt("dataset-size", 64, "synthetic examples");
     cli.addInt("seed", 1234, "arrival / image sampling seed");
     cli.addDouble("slo-ms", 50.0, "latency SLO defining goodput");
@@ -139,7 +138,6 @@ main(int argc, char **argv)
         static_cast<int>(cli.getInt("threads"));
     sopts.tune = !cli.getBool("no-tune");
     sopts.tuner_reps = static_cast<int>(cli.getInt("tuner-reps"));
-    sopts.use_extensions = cli.getBool("extensions");
 
     serve::Server server(config, sopts);
     server.warmup();

@@ -6,8 +6,7 @@
  *
  *   spgcnn train --net mnist|cifar10|imagenet100|<path>
  *                [--dataset-size N] [--epochs N] [--batch N] [--lr F]
- *                [--mode auto|fixed] [--fp E] [--bp E]
- *                [--extensions] [--threads N]
+ *                [--mode auto|fixed] [--fp E] [--bp E] [--threads N]
  *                [--prune <target>[@<start>[:<ramp>]]]
  *                [--save ckpt.bin] [--load ckpt.bin]
  *       Train a network on a synthetic dataset matching its input
@@ -22,8 +21,7 @@
  *       modeled paper-machine behaviour.
  *
  *   spgcnn tune --n N --nf N --nc N --k N [--stride N] [--sparsity F]
- *                [--weight-sparsity F] [--batch N] [--extensions]
- *                [--threads N]
+ *                [--weight-sparsity F] [--batch N] [--threads N]
  *       Measure every applicable engine on this machine and print the
  *       scheduler's choice per phase. --weight-sparsity measures the
  *       FP engines on a weight tensor pruned to that zero fraction
@@ -33,7 +31,7 @@
  *                [--instances N] [--max-batch N] [--budget-ms F]
  *                [--queue-cap N] [--threads N] [--rate F]
  *                [--duration F] [--slo-ms F] [--load ckpt.bin]
- *                [--no-tune] [--extensions]
+ *                [--no-tune]
  *       Serve the network forward-only under open-loop Poisson load:
  *       dynamic batching, per-bucket serving engine plans, latency
  *       percentiles, QPS and goodput against the SLO.
@@ -57,7 +55,8 @@
  *       dense/sparse x ring/tree x overlap on/off).
  *
  *   spgcnn engines
- *       List the available execution engines.
+ *       List the engine registry: each engine's phases and where it
+ *       applies.
  */
 
 #include <cstdio>
@@ -138,8 +137,6 @@ cmdTrain(int argc, char **argv)
     cli.addString("mode", "auto", "auto (spg-CNN scheduler) | fixed");
     cli.addString("fp", "gemm-in-parallel", "FP engine for fixed mode");
     cli.addString("bp", "gemm-in-parallel", "BP engine for fixed mode");
-    cli.addBool("extensions", false,
-                "let the tuner consider extension engines");
     cli.addInt("threads", 0, "worker threads (0 = hardware)");
     cli.addString("prune", "",
                   "magnitude-pruning schedule "
@@ -165,7 +162,6 @@ cmdTrain(int argc, char **argv)
     options.epochs = static_cast<int>(cli.getInt("epochs"));
     options.batch = cli.getInt("batch");
     options.learning_rate = static_cast<float>(cli.getDouble("lr"));
-    options.tuner.use_extensions = cli.getBool("extensions");
     if (!cli.getString("prune").empty())
         options.prune = parsePruneSchedule(cli.getString("prune"));
     std::string mode = cli.getString("mode");
@@ -287,14 +283,12 @@ cmdTune(int argc, char **argv)
                   "zero fraction of the measurement weights (CSR-"
                   "weights FP crossover)");
     cli.addInt("batch", 8, "measurement minibatch");
-    cli.addBool("extensions", false, "include extension engines");
     cli.addInt("threads", 0, "worker threads (0 = hardware)");
     cli.parse(argc, argv);
 
     ConvSpec spec = specFromFlags(cli);
     TunerOptions topts;
     topts.batch = cli.getInt("batch");
-    topts.use_extensions = cli.getBool("extensions");
     Tuner tuner(topts);
     ThreadPool pool(static_cast<int>(cli.getInt("threads")));
     LayerPlan plan =
@@ -333,16 +327,6 @@ obs::DriftReport
 servingDrift(const serve::Server &server, Network &net, int cores)
 {
     obs::DriftReport drift;
-    auto modeled = [](const std::string &engine) {
-        return engine == "parallel-gemm" ||
-               engine == "parallel-gemm-packed" ||
-               engine == "gemm-in-parallel" ||
-               engine == "gemm-in-parallel-packed" ||
-               engine == "stencil" || engine == "direct" ||
-               engine == "sparse-weights" ||
-               engine == "sparse-weights-direct";
-    };
-
     constexpr std::int64_t kDim = 256;
     std::vector<float> a(kDim * kDim, 1.0f), b(kDim * kDim, 0.5f),
         c(kDim * kDim, 0.0f);
@@ -359,7 +343,7 @@ servingDrift(const serve::Server &server, Network &net, int cores)
         const ServingLayerPlan &plan = plans[i];
         for (std::size_t bi = 0; bi < plan.buckets.size(); ++bi) {
             const std::string &engine = plan.fp_engines[bi];
-            if (!modeled(engine))
+            if (!hasConvModel(engine))
                 continue;
             const EngineTiming *timing = nullptr;
             for (const EngineTiming &t : plan.timings[bi])
@@ -406,8 +390,6 @@ cmdServe(int argc, char **argv)
     cli.addInt("queue-cap", 256, "request queue bound");
     cli.addInt("threads", 1,
                "pool threads per instance (0 = hardware)");
-    cli.addBool("extensions", false,
-                "let the serving tuner consider extension engines");
     cli.addInt("tuner-reps", 3, "timed reps per tuner measurement");
     cli.addBool("no-tune", false,
                 "skip the serving tuner (default engine everywhere)");
@@ -433,7 +415,6 @@ cmdServe(int argc, char **argv)
     sopts.threads_per_instance =
         static_cast<int>(cli.getInt("threads"));
     sopts.tune = !cli.getBool("no-tune");
-    sopts.use_extensions = cli.getBool("extensions");
     sopts.tuner_reps = static_cast<int>(cli.getInt("tuner-reps"));
 
     serve::Server server(config, sopts);
@@ -579,7 +560,7 @@ cmdCounters(int argc, char **argv)
         {"gemm (model-parallel)", 0, "gemm-in-parallel", 0.0},
         {"stencil", 5, "stencil", 0.0},
         {"direct (NCHWc)", 0, "direct", 0.0},
-        {"sparse-weights (CSR)", 0, "sparse-weights", 0.9},
+        {"sparse-weights (CSR)", 0, "sparse-weights-direct", 0.9},
     };
 
     ThreadPool pool(static_cast<int>(cli.getInt("threads")));
@@ -602,7 +583,7 @@ cmdCounters(int argc, char **argv)
         const ConvSpec &spec = entry.spec;
         auto engine = makeEngine(probe.engine);
         if (!engine || !engine->supports(Phase::Forward) ||
-            !engine->supportsGeometry(spec))
+            !engine->appliesTo(spec, probe.weight_sparsity))
             continue;
 
         Rng rng(0xC0147E5);
@@ -726,8 +707,6 @@ cmdCluster(int argc, char **argv)
     cli.addBool("tune", false,
                 "deploy tuner-chosen per-layer engine plans on every "
                 "replica");
-    cli.addBool("extensions", false,
-                "let the tuner consider extension engines");
     cli.addInt("threads", 0, "worker threads (0 = hardware)");
     cli.addString("sweep", "1,2,4,8,16",
                   "modeled worker counts for the scaling table");
@@ -744,7 +723,6 @@ cmdCluster(int argc, char **argv)
     opts.epochs = static_cast<int>(cli.getInt("epochs"));
     opts.learning_rate = static_cast<float>(cli.getDouble("lr"));
     opts.tune = cli.getBool("tune");
-    opts.tuner.use_extensions = cli.getBool("extensions");
     opts.exchange.compress =
         parseGradCompress(cli.getString("grad-compress"));
     opts.exchange.algo = parseAllreduceAlgo(cli.getString("allreduce"));
@@ -853,12 +831,25 @@ cmdCluster(int argc, char **argv)
 int
 cmdEngines()
 {
-    std::printf("paper-set engines:\n");
-    for (const auto &engine : makeAllEngines())
-        std::printf("  %s\n", engine->name().c_str());
-    std::printf("extensions:\n  sparse-weights\n"
-                "  sparse-weights-direct\n  fft\n  winograd\n");
-    std::printf("oracle:\n  reference\n");
+    // Where each engine applies, probed through its own predicate.
+    const ConvSpec k3 = ConvSpec::square(8, 1, 1, 3);
+    const ConvSpec k5 = ConvSpec::square(8, 1, 1, 5);
+    TablePrinter table("engine registry (oracle: reference)",
+                       {"engine", "FP", "BP-data", "BP-weights",
+                        "applies to"});
+    for (const auto &engine : makeEngines()) {
+        auto mark = [&](Phase phase) {
+            return engine->supports(phase) ? "x" : "";
+        };
+        std::string where = "every layer";
+        if (!engine->appliesTo(k5, 0.0))
+            where = engine->appliesTo(k3, 0.0) ? "3x3 stride-1 layers"
+                                               : "pruned layers";
+        table.addRow({engine->name(), mark(Phase::Forward),
+                      mark(Phase::BackwardData),
+                      mark(Phase::BackwardWeights), where});
+    }
+    table.print();
     return 0;
 }
 
