@@ -151,19 +151,21 @@ ConvLayer::backward(const Tensor &in, const Tensor &, const Tensor &eo,
         SPG_ASSERT(relu_mask.size() ==
                    static_cast<std::size_t>(eo.size()));
         mask.mask = relu_mask.data();
-        // The sparsity the BP engines see is POST-mask: an element is
-        // live only where the fused ReLU kept it and eo is non-zero.
-        std::int64_t nnz_count = 0;
-        const float *go = eo.data();
-        for (std::int64_t i = 0; i < eo.size(); ++i)
-            nnz_count += relu_mask[i] && go[i] != 0.0f;
-        last_eo_sparsity =
-            eo.size() == 0 ? 0.0
-                           : 1.0 - static_cast<double>(nnz_count) /
-                                       static_cast<double>(eo.size());
-    } else {
-        last_eo_sparsity = eo.sparsity();
     }
+    // The sparsity the BP engines see is POST-mask: an element is live
+    // only where the fused ReLU (if any) kept it and eo is non-zero.
+    // `1 - live/size` and `(size - live)/size` can differ in the last
+    // bit; each path keeps its own form (the unfused one is
+    // Tensor::sparsity's) because re-tune decisions read this value.
+    const std::int64_t live =
+        liveCount(eo.data(), mask.mask, eo.size(), pool);
+    const double size = static_cast<double>(eo.size());
+    if (eo.size() == 0)
+        last_eo_sparsity = 0.0;
+    else if (fused_relu)
+        last_eo_sparsity = 1.0 - static_cast<double>(live) / size;
+    else
+        last_eo_sparsity = static_cast<double>(eo.size() - live) / size;
     eo_sparsity_gauge->set(last_eo_sparsity);
     static obs::Counter &nnz =
         obs::Metrics::global().counter("conv.eo_nnz");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "threading/thread_pool.hh"
 #include "util/logging.hh"
 
 namespace spg {
@@ -229,6 +230,36 @@ allClose(const Tensor &a, const Tensor &b, float rel_tol, float abs_tol)
             return false;
     }
     return true;
+}
+
+std::int64_t
+liveCount(const float *x, const std::uint8_t *mask, std::int64_t n,
+          ThreadPool &pool)
+{
+    // One cache-line-private partial per participant. A participant
+    // that steals runs more than one chunk, hence +=.
+    struct alignas(64) Partial
+    {
+        std::int64_t live = 0;
+    };
+    std::vector<Partial> partials(static_cast<std::size_t>(pool.threads()));
+    pool.parallelFor(n, [&](std::int64_t b, std::int64_t e, int worker) {
+        // `&`, not `&&`: the ReLU mask is close to random, so a branch
+        // on it mispredicts about half the time.
+        std::int64_t live = 0;
+        if (mask != nullptr) {
+            for (std::int64_t i = b; i < e; ++i)
+                live += (mask[i] != 0) & (x[i] != 0.0f);
+        } else {
+            for (std::int64_t i = b; i < e; ++i)
+                live += x[i] != 0.0f;
+        }
+        partials[static_cast<std::size_t>(worker)].live += live;
+    });
+    std::int64_t live = 0;
+    for (const Partial &p : partials)
+        live += p.live;
+    return live;
 }
 
 } // namespace spg

@@ -25,6 +25,8 @@
 
 namespace spg {
 
+class ThreadPool;
+
 /** Shape of a tensor: up to four extents, unused extents are 1. */
 class Shape
 {
@@ -244,6 +246,17 @@ float maxAbsDiff(const Tensor &a, const Tensor &b);
  */
 bool allClose(const Tensor &a, const Tensor &b, float rel_tol = 1e-4f,
               float abs_tol = 1e-5f);
+
+/**
+ * Count the live elements of x[0, n) in one branchless pass over the
+ * pool's fixed parallelFor partition. An element is live when it is
+ * `!= 0.0f` (so -0.0f is dead and NaN is live) and, when @p mask is
+ * non-null, its mask byte is set; @p mask then holds n bytes. The
+ * count is an exact integer, so it does not depend on the pool size
+ * or on which participant ran which chunk.
+ */
+std::int64_t liveCount(const float *x, const std::uint8_t *mask,
+                       std::int64_t n, ThreadPool &pool);
 
 } // namespace spg
 

@@ -462,24 +462,27 @@ TEST(PoolEdgeCases, OddGeometryAveragePoolBackward)
 
 TEST(FusedConvLayer, ReportsPostMaskSparsity)
 {
-    ThreadPool pool(2);
-    Rng rng(57);
-    ConvSpec spec{8, 8, 2, 3, 3, 3, 1, 1};
-    ConvLayer layer("convX", spec, rng);
-    layer.setFusedRelu(true);
-    Tensor in(Shape{2, spec.nc, spec.ny, spec.nx});
-    Tensor out(Shape{2, spec.nf, spec.outY(), spec.outX()});
-    Tensor eo(Shape{2, spec.nf, spec.outY(), spec.outX()});
-    Tensor ei(Shape{2, spec.nc, spec.ny, spec.nx});
-    in.fillUniform(rng);
-    eo.fillUniform(rng, 0.5f, 1.0f);  // dense, all non-zero
-    layer.forward(in, out, pool);
-    layer.backward(in, out, eo, ei, pool);
-    // eo itself is dense; the reported sparsity must equal the mask's
-    // clipped fraction.
-    double expected = out.sparsity();
-    EXPECT_GT(expected, 0.0);
-    EXPECT_NEAR(layer.lastErrorSparsity(), expected, 1e-12);
+    for (int threads : {2, 4}) {
+        ThreadPool pool(threads);
+        Rng rng(57);
+        ConvSpec spec{8, 8, 2, 3, 3, 3, 1, 1};
+        ConvLayer layer("convX", spec, rng);
+        layer.setFusedRelu(true);
+        Tensor in(Shape{2, spec.nc, spec.ny, spec.nx});
+        Tensor out(Shape{2, spec.nf, spec.outY(), spec.outX()});
+        Tensor eo(Shape{2, spec.nf, spec.outY(), spec.outX()});
+        Tensor ei(Shape{2, spec.nc, spec.ny, spec.nx});
+        in.fillUniform(rng);
+        eo.fillUniform(rng, 0.5f, 1.0f);  // dense, all non-zero
+        layer.forward(in, out, pool);
+        layer.backward(in, out, eo, ei, pool);
+        // eo itself is dense; the reported sparsity must equal the
+        // mask's clipped fraction.
+        double expected = out.sparsity();
+        EXPECT_GT(expected, 0.0) << threads << " threads";
+        EXPECT_NEAR(layer.lastErrorSparsity(), expected, 1e-12)
+            << threads << " threads";
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/net_config.hh"
@@ -91,6 +93,49 @@ TEST(PoolLayer, AvgPoolDistributesGradient)
     pool_layer.backward(in, out, eo, ei, pool);
     for (int i = 0; i < 16; ++i)
         EXPECT_FLOAT_EQ(ei[i], 1.0f);
+}
+
+TEST(PoolLayer, BackwardOverwritesPoisonedInputGradient)
+{
+    // Each (image, channel) task zeroes its own ei plane, so ei may
+    // arrive holding garbage: a NaN-poisoned ei must come out byte-
+    // identical to a zero-prefilled one — including the pixels no
+    // window covers (odd extents, stride > kernel).
+    struct Case
+    {
+        Geometry g;
+        std::int64_t kernel, stride;
+    };
+    const Case cases[] = {{{3, 7, 5}, 2, 2}, {{2, 7, 7}, 2, 3},
+                          {{3, 9, 8}, 3, 2}};
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    ThreadPool pool(3);
+    for (const Case &tc : cases) {
+        for (auto mode : {PoolLayer::Mode::Max, PoolLayer::Mode::Avg}) {
+            PoolLayer layer(tc.g, tc.kernel, tc.stride, mode);
+            Geometry og = layer.outputGeometry();
+            Rng rng(tc.g.h * 17 + tc.stride);
+            Tensor in(Shape{2, tc.g.c, tc.g.h, tc.g.w});
+            Tensor out(Shape{2, og.c, og.h, og.w});
+            Tensor eo(Shape{2, og.c, og.h, og.w});
+            in.fillUniform(rng);
+            eo.fillUniform(rng, -1.0f, 1.0f);
+            layer.forward(in, out, pool);
+
+            Tensor zeroed(Shape{2, tc.g.c, tc.g.h, tc.g.w});
+            Tensor poisoned(Shape{2, tc.g.c, tc.g.h, tc.g.w});
+            zeroed.zero();
+            poisoned.fill(nan);
+            layer.backward(in, out, eo, zeroed, pool);
+            layer.backward(in, out, eo, poisoned, pool);
+            EXPECT_EQ(std::memcmp(zeroed.data(), poisoned.data(),
+                                  sizeof(float) * zeroed.size()),
+                      0)
+                << tc.g.c << "x" << tc.g.h << "x" << tc.g.w << " k"
+                << tc.kernel << " s" << tc.stride
+                << (mode == PoolLayer::Mode::Max ? " max" : " avg");
+        }
+    }
 }
 
 TEST(SoftmaxLayer, ProbabilitiesAndLoss)

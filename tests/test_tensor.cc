@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
 #include "tensor/layout.hh"
 #include "tensor/tensor.hh"
+#include "threading/thread_pool.hh"
 #include "util/random.hh"
 
 namespace spg {
@@ -191,6 +194,106 @@ TEST_P(StridedSplit, RoundTripAndSemantics)
     Tensor back(Shape{ny, nx});
     stridedMergeX(split.data(), ny, nx, sx, back.data());
     EXPECT_EQ(maxAbsDiff(a, back), 0.0f);
+}
+
+// ---------------------------------------------------------------------
+// DeterminismLiveCount: the pool-parallel live count must equal a
+// scalar `!= 0.0f` reference at every pool size, for sizes below,
+// at and off a multiple of the participant count.
+
+std::int64_t
+scalarLiveCount(const float *x, const std::uint8_t *mask, std::int64_t n)
+{
+    std::int64_t live = 0;
+    for (std::int64_t i = 0; i < n; ++i)
+        if ((mask == nullptr || mask[i] != 0) && x[i] != 0.0f)
+            ++live;
+    return live;
+}
+
+/** A mix of zeros, negative zeros, NaNs, denormals and normal values. */
+std::vector<float>
+liveCountValues(std::int64_t n, std::uint64_t seed)
+{
+    const float kinds[] = {0.0f,
+                           -0.0f,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::denorm_min(),
+                           -1.5f,
+                           2.0f};
+    Rng rng(seed);
+    std::vector<float> x(static_cast<std::size_t>(n));
+    for (float &v : x)
+        v = kinds[rng.below(6)];
+    return x;
+}
+
+std::vector<std::uint8_t>
+liveCountMask(std::int64_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::uint8_t> m(static_cast<std::size_t>(n));
+    for (std::uint8_t &b : m)
+        b = static_cast<std::uint8_t>(rng.below(2));
+    return m;
+}
+
+const std::int64_t kLiveCountSizes[] = {0, 1, 3, 5, 1031, 100003};
+
+TEST(DeterminismLiveCount, MatchesScalarReferenceAtEveryPoolSize)
+{
+    for (int threads = 1; threads <= 4; ++threads) {
+        ThreadPool pool(threads);
+        for (std::int64_t n : kLiveCountSizes) {
+            const auto x = liveCountValues(n, 900 + n);
+            const auto m = liveCountMask(n, 901 + n);
+            const std::int64_t masked = scalarLiveCount(x.data(), m.data(), n);
+            const std::int64_t unmasked =
+                scalarLiveCount(x.data(), nullptr, n);
+            for (int rep = 0; rep < 3; ++rep) {
+                EXPECT_EQ(liveCount(x.data(), m.data(), n, pool), masked)
+                    << "n " << n << ", " << threads << " threads";
+                EXPECT_EQ(liveCount(x.data(), nullptr, n, pool), unmasked)
+                    << "n " << n << ", " << threads << " threads";
+            }
+        }
+    }
+}
+
+TEST(DeterminismLiveCount, AllMaskedAllLiveAndUnmasked)
+{
+    for (int threads = 1; threads <= 4; ++threads) {
+        ThreadPool pool(threads);
+        for (std::int64_t n : kLiveCountSizes) {
+            const std::vector<float> dense(static_cast<std::size_t>(n),
+                                           0.25f);
+            const std::vector<std::uint8_t> none(
+                static_cast<std::size_t>(n), 0);
+            const std::vector<std::uint8_t> all(
+                static_cast<std::size_t>(n), 1);
+            EXPECT_EQ(liveCount(dense.data(), none.data(), n, pool), 0)
+                << "n " << n << ", " << threads << " threads";
+            EXPECT_EQ(liveCount(dense.data(), all.data(), n, pool), n)
+                << "n " << n << ", " << threads << " threads";
+            EXPECT_EQ(liveCount(dense.data(), nullptr, n, pool), n)
+                << "n " << n << ", " << threads << " threads";
+        }
+    }
+}
+
+TEST(DeterminismLiveCount, SignedZeroIsDeadAndNanIsLive)
+{
+    const float x[] = {-0.0f, 0.0f, std::numeric_limits<float>::quiet_NaN(),
+                       -std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       std::numeric_limits<float>::denorm_min()};
+    const std::uint8_t mask[] = {1, 1, 1, 0, 1, 1};
+    for (int threads = 1; threads <= 4; ++threads) {
+        ThreadPool pool(threads);
+        EXPECT_EQ(liveCount(x, nullptr, 6, pool), 4) << threads;
+        EXPECT_EQ(liveCount(x, mask, 6, pool), 3) << threads;
+        EXPECT_EQ(liveCount(x, nullptr, 2, pool), 0) << threads;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

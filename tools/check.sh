@@ -163,12 +163,15 @@ fi
 # what ASan must prove in-bounds. The perfcnt suites (Perf*, Affinity*,
 # Rapl*) ride along: the per-worker counter accumulators are lock-free
 # shared state for TSan, and the group-read buffer parsing is exactly
-# the sort of pointer arithmetic ASan checks. Skipped inside a
-# sanitized run (the outer invocation already is one) or when a test
-# filter was passed.
+# the sort of pointer arithmetic ASan checks. The PoolLayer suite rides
+# along: pool BP zeroes each (image, channel) plane of ei inside its
+# parallel task, so a plane written by two tasks is a race TSan must
+# rule out and a stray plane offset an overrun ASan must. Skipped
+# inside a sanitized run (the outer invocation already is one) or when
+# a test filter was passed.
 if [[ $# -eq 0 && -z "${SPG_SANITIZE:-}" ]]; then
     for san in address thread; do
         SPG_SANITIZE="$san" "$(cd .. && pwd)/tools/check.sh" \
-            -R 'Determinism|Direct|Blocked|SparseWeights|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|PerfCnt|Affinity|Rapl|DataParallel|Allreduce|GradCompress|ExchangeSched'
+            -R 'Determinism|PoolLayer|Direct|Blocked|SparseWeights|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|PerfCnt|Affinity|Rapl|DataParallel|Allreduce|GradCompress|ExchangeSched'
     done
 fi
