@@ -9,11 +9,15 @@ namespace spg {
 
 void
 BatchReducer::run(ThreadPool &pool, std::int64_t batch, std::int64_t count,
-                  FunctionRef<void(std::int64_t, float *)> image, float *dst)
+                  FunctionRef<void(std::int64_t, float *)> image, float *dst,
+                  std::int64_t sizing_count)
 {
+    if (sizing_count <= 0)
+        sizing_count = count;
     std::int64_t chunks = std::min(
         {batch, kMaxChunks,
-         std::max(kMinChunks, kSlabBudget / std::max<std::int64_t>(count, 1))});
+         std::max(kMinChunks,
+                  kSlabBudget / std::max<std::int64_t>(sizing_count, 1))});
     std::size_t total = static_cast<std::size_t>(chunks * count);
     if (slabs_.size() < total)
         slabs_ = AlignedBuffer<float>(kUninit, total);

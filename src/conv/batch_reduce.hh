@@ -52,9 +52,14 @@ class BatchReducer
      *        (count floats, zeroed before the chunk's first image).
      *        Images of one chunk run in ascending order on one worker.
      * @param dst Output gradient, overwritten.
+     * @param sizing_count Gradient length the chunk count is derived
+     *        from; 0 means @p count. An engine whose slabs carry pad
+     *        lanes passes its unpadded gradient size, so padding never
+     *        moves the chunk boundaries (and so the summation order).
      */
     void run(ThreadPool &pool, std::int64_t batch, std::int64_t count,
-             FunctionRef<void(std::int64_t, float *)> image, float *dst);
+             FunctionRef<void(std::int64_t, float *)> image, float *dst,
+             std::int64_t sizing_count = 0);
 
   private:
     /** Grown on demand. Calls on one reducer must not overlap

@@ -7,26 +7,42 @@
  * without unfolding, as a composition of small dense MMs via the
  * paper's POINTER SHIFTING technique:
  *
- *  - data layout: EO is transformed feature-fastest ([y'][x'][f]),
- *    the weights channel-fastest ([ky][kx][f][c]) and the outputs
- *    channel-fastest, so the basic block (Fig. 5b)
+ *  - data layout: EO is read feature-fastest as CT-CSR (rows = output
+ *    pixels, columns = features), the input and the input-gradient
+ *    staging are channel-fastest ([y][x][c]), and the weights are
+ *    padded KERNEL ROWS W'[f][ky][r]: r = kx * nc + c runs over the
+ *    fx * nc (kx, c) floats of one kernel row, zero-padded to a
+ *    multiple of 16. One output pixel touches, in each of its fy input
+ *    rows, exactly those fx * nc contiguous channel-fastest floats, in
+ *    the same order. So the basic block
  *
- *        S'[c] = sum_f E'O[f] * W'[f, c]
+ *        S'[ky][r] += E'O[f] * W'[f][ky][r]
  *
- *    vectorizes along channels: every non-zero E'O[f] is an AXPY of
- *    the contiguous weight row W'[f, :] into a contiguous output
- *    vector;
+ *    vectorizes along the whole kernel row rather than along the
+ *    channels alone — which matters for the first layer, where Nc is
+ *    3 (cifar10) or 1 (mnist): every non-zero is one FMA per 16-lane
+ *    vector of its feature's fy rows;
  *
  *  - for each non-zero error at (y', x'), the SAME non-zero list is
- *    replayed for every kernel coordinate (ky, kx); only the output
- *    pointer shifts, to EI[y'*sy + ky, x'*sx + kx, :] (Eq. 15) —
- *    composing the sparse convolution from Fy*Fx small dense MMs
- *    without unrolling them;
+ *    replayed for every kernel row ky; only the pointers shift, to
+ *    EI[y'*sy + ky, x'*sx, :] (Eq. 15) — fy shifts per pixel;
+ *
+ *  - BP-data keeps one pixel's fy destination rows in registers across
+ *    its non-zeros and stores them once, masking only each row's last
+ *    vector; BP-weights keeps the pixel's fy input rows in registers
+ *    (zero tail lanes) and does one full-width read-modify-write per
+ *    vector of dW'[f][ky] per non-zero, into padded slabs whose pad
+ *    lanes are dropped when [f][c][ky][kx] is restored. Rows that do
+ *    not fit the registers are processed in even passes;
  *
  *  - EO is stored in Column-Tiled CSR (rows = spatial positions,
  *    columns = features, tiled along features) so that the weight
  *    slice a feature band touches stays cache-resident and row walks
  *    stay TLB-friendly (Fig. 5a).
+ *
+ * Every destination float takes its contributions in (feature tile,
+ * pixel, non-zero) order with one FMA each, so the outputs do not
+ * depend on the register blocking or on the pool size.
  *
  * The error gradients are encoded ONCE per minibatch: BP-data builds
  * the CT-CSR plan through SparsePlanCache — with the fused
@@ -81,7 +97,7 @@ class SparseBpEngine : public ConvEngine
 
   private:
     std::int64_t featureTile;
-    /** Deterministic per-image dW' reduction in [ky][kx][f][c]. */
+    /** Deterministic per-image dW' reduction in padded [f][ky][r]. */
     mutable BatchReducer reducer_;
 };
 

@@ -40,7 +40,8 @@ Tuner::Tuner(TunerOptions options)
 EngineTiming
 Tuner::measure(const ConvEngine &engine, Phase phase, const ConvSpec &spec,
                const Tensor &in, const Tensor &weights, const Tensor &eo,
-               ThreadPool &pool, bool fused_relu, bool serving) const
+               ThreadPool &pool, bool fused_relu, bool serving,
+               bool cold_plan) const
 {
     std::int64_t batch = in.shape()[0];
     EngineTiming timing;
@@ -57,7 +58,9 @@ Tuner::measure(const ConvEngine &engine, Phase phase, const ConvSpec &spec,
     // re-encodes and the BP-weights call that follows hits the plan.
     // Reproduce that here: drop the plan before each BP-data rep (so
     // the encode is charged to BP-data, not hidden by bestTimeSeconds'
-    // min over warm reps) and leave it warm for BP-weights.
+    // min over warm reps) and leave it warm for BP-weights — unless
+    // BP-data deploys another engine, when training's BP-weights
+    // encodes every minibatch itself and pays for it here too.
     bool encode_once = engine.name() == "sparse";
     SparsePlanCache &plans = SparsePlanCache::global();
     SparsePlanCache::Stats before = plans.stats();
@@ -166,6 +169,8 @@ Tuner::measure(const ConvEngine &engine, Phase phase, const ConvSpec &spec,
       case Phase::BackwardWeights: {
         Tensor dw(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
         timing.seconds = timedWithPerf([&] {
+            if (encode_once && cold_plan)
+                plans.invalidate(eo.data());
             engine.backwardWeights(spec, eo, in, dw, pool, bp_mask);
         });
         break;
@@ -220,8 +225,11 @@ Tuner::tunePhases(LayerPlan &plan, const std::vector<Phase> &phases,
                 !engine->appliesTo(spec, weight_sparsity)) {
                 continue;
             }
-            EngineTiming t = measure(*engine, phase, spec, in, weights,
-                                     eo, pool, fused_relu);
+            EngineTiming t = measure(
+                *engine, phase, spec, in, weights, eo, pool, fused_relu,
+                /*serving=*/false,
+                /*cold_plan=*/phase == Phase::BackwardWeights &&
+                    plan.bp_data_engine != "sparse");
             t.weight_sparsity = actual_ws;
             plan.timings[phase].push_back(t);
             if (t.seconds < best) {

@@ -195,11 +195,17 @@ class Tuner
     const TunerOptions &options() const { return opts; }
 
   private:
+    /**
+     * @param cold_plan Time sparse BP-weights on a plan it must encode
+     *        itself: BP-data deploys another engine, so in training no
+     *        BP-data call leaves the minibatch's plan warm.
+     */
     EngineTiming measure(const ConvEngine &engine, Phase phase,
                          const ConvSpec &spec, const Tensor &in,
                          const Tensor &weights, const Tensor &eo,
                          ThreadPool &pool, bool fused_relu,
-                         bool serving = false) const;
+                         bool serving = false,
+                         bool cold_plan = false) const;
 
     void tunePhases(LayerPlan &plan, const std::vector<Phase> &phases,
                     const ConvSpec &spec, double sparsity,

@@ -20,6 +20,14 @@
 
 namespace spg {
 
+namespace {
+
+/** A conv layer whose error sparsity reaches this has stopped learning
+ *  (e2ebench fails a run at the same value). */
+constexpr double kDeadErrorSparsity = 0.999;
+
+} // namespace
+
 Trainer::Trainer(Network &network, const Dataset &dataset,
                  TrainerOptions options)
     : network(network), dataset(dataset), opts(options),
@@ -27,6 +35,10 @@ Trainer::Trainer(Network &network, const Dataset &dataset,
 {
     if (opts.epochs < 1 || opts.batch < 1)
         fatal("trainer needs epochs >= 1 and batch >= 1");
+    if (dataset.count() < opts.batch)
+        fatal("dataset has %lld images, fewer than one batch of %lld",
+              static_cast<long long>(dataset.count()),
+              static_cast<long long>(opts.batch));
     Geometry in = network.inputGeometry();
     if (in.c != dataset.channels || in.h != dataset.height ||
         in.w != dataset.width) {
@@ -72,6 +84,7 @@ Trainer::run(ThreadPool &pool)
 
     pending_drift.clear();
     drift = obs::DriftReport{};
+    bool warned_dead = false;
 
     for (int epoch = 0; epoch < opts.epochs; ++epoch) {
         SPG_TRACE_SCOPE_N("train", "epoch", "epoch", epoch);
@@ -228,6 +241,18 @@ Trainer::run(ThreadPool &pool)
                 conv->lastErrorSparsity());
             stats.conv_weight_sparsity.push_back(
                 conv->weightSparsity());
+        }
+        // Dead ReLUs pass (almost) no error back; sparse-BP and drift
+        // numbers from such a run mean nothing, so say so once.
+        for (std::size_t i = 0;
+             i < stats.conv_error_sparsity.size() && !warned_dead; ++i) {
+            if (stats.conv_error_sparsity[i] >= kDeadErrorSparsity) {
+                warn("conv%zu error sparsity %.4f in epoch %d: the network "
+                     "has stopped learning (dead ReLUs?); try a smaller "
+                     "learning rate",
+                     i, stats.conv_error_sparsity[i], epoch);
+                warned_dead = true;
+            }
         }
         {
             // Pruned fraction over all prunable weight tensors (bias

@@ -121,9 +121,10 @@ class CtCsrMatrix
 
     /**
      * In-place variant of fromChw: re-encode into this matrix, reusing
-     * the tile vectors as arena storage. A counts-then-fill two-pass
-     * layout sizes every vector exactly once, so steady-state
-     * re-encodes of same-shaped tensors perform no heap allocation.
+     * the tile vectors as arena storage. A count pass sizes every
+     * vector once, then a branch-free pass writes the rows in order,
+     * so steady-state re-encodes of same-shaped tensors perform no
+     * heap allocation.
      */
     void encodeFromChw(const float *chw, std::int64_t c, std::int64_t h,
                        std::int64_t w, std::int64_t tile_width,

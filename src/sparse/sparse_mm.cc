@@ -23,28 +23,6 @@ axpy(std::int64_t n, float alpha, const float *x, float *y)
 }
 
 void
-axpy2(std::int64_t n, float alpha, const float *x0, float *y0,
-      const float *x1, float *y1)
-{
-    std::int64_t i = 0;
-#if defined(__AVX2__) && defined(__FMA__)
-    __m256 va = _mm256_set1_ps(alpha);
-    for (; i + 8 <= n; i += 8) {
-        __m256 vy0 = _mm256_loadu_ps(y0 + i);
-        __m256 vy1 = _mm256_loadu_ps(y1 + i);
-        __m256 vx0 = _mm256_loadu_ps(x0 + i);
-        __m256 vx1 = _mm256_loadu_ps(x1 + i);
-        _mm256_storeu_ps(y0 + i, _mm256_fmadd_ps(va, vx0, vy0));
-        _mm256_storeu_ps(y1 + i, _mm256_fmadd_ps(va, vx1, vy1));
-    }
-#endif
-    for (; i < n; ++i) {
-        y0[i] += alpha * x0[i];
-        y1[i] += alpha * x1[i];
-    }
-}
-
-void
 csrTimesDense(const CsrMatrix &a, const float *b, std::int64_t n, float *c)
 {
     const auto &vals = a.vals();

@@ -5,8 +5,8 @@
  * The core primitive is C += A_sparse * B_dense with C and B row-major
  * dense. Each stored element a_ij contributes a_ij * B[j, :] to
  * C[i, :], so the inner loop is an AXPY over a contiguous dense row —
- * exactly the channel-vectorized basic block of the paper's sparse BP
- * kernel (Fig. 5b). The CT-CSR variant processes one column band of A
+ * the shape of the basic block of the paper's sparse BP kernel
+ * (Fig. 5b). The CT-CSR variant processes one column band of A
  * (rows of B) at a time so the touched B rows stay cache-resident.
  */
 
@@ -24,20 +24,6 @@ namespace spg {
  * Vectorized with AVX2/FMA when available.
  */
 void axpy(std::int64_t n, float alpha, const float *x, float *y);
-
-/**
- * Two independent AXPYs sharing one scalar:
- * y0[0..n) += alpha * x0[0..n) and y1[0..n) += alpha * x1[0..n).
- *
- * Register-blocked across the two destination streams, so the sparse
- * BP replay can retire adjacent pointer-shift destinations (the
- * (kx, kx+1) pair of the Fy*Fx loop) with twice the FMA-level
- * parallelism of back-to-back axpy calls. Element-wise the operations
- * are identical to two axpy calls, so results are bit-for-bit equal.
- * The (x0, y0) and (x1, y1) spans must not overlap each other.
- */
-void axpy2(std::int64_t n, float alpha, const float *x0, float *y0,
-           const float *x1, float *y1);
 
 /**
  * C += A * B with A in CSR.

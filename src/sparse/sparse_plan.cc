@@ -50,11 +50,11 @@ fingerprintBytes(const unsigned char *bytes, std::size_t n)
     return h;
 }
 
-/** Fingerprint of an error tensor plus its optional fused ReLU mask:
- *  both inputs determine the plan, so both feed the hash. */
+/** Fingerprint of one image's errors plus its optional fused ReLU
+ *  mask: both inputs determine the plan, so both feed the hash. */
 std::uint64_t
-fingerprint(const float *eo, std::int64_t count,
-            const std::uint8_t *mask)
+imageFingerprint(const float *eo, std::int64_t count,
+                 const std::uint8_t *mask)
 {
     std::uint64_t h = fingerprintBytes(
         reinterpret_cast<const unsigned char *>(eo),
@@ -65,6 +65,28 @@ fingerprint(const float *eo, std::int64_t count,
             static_cast<std::size_t>(count));
         h = (h ^ hm) * 1099511628211ull + (hm >> 31);
     }
+    return h;
+}
+
+/**
+ * Fingerprint of a batch: the images hash in parallel on the pool, and
+ * their hashes combine serially in image order, so the value depends
+ * only on the bytes, never on which worker hashed which image.
+ */
+std::uint64_t
+fingerprint(const float *eo, std::int64_t batch, std::int64_t image_elems,
+            const std::uint8_t *mask, ThreadPool &pool)
+{
+    std::vector<std::uint64_t> image_hash(static_cast<std::size_t>(batch));
+    pool.parallelFor(batch, [&](std::int64_t begin, std::int64_t end, int) {
+        for (std::int64_t b = begin; b < end; ++b)
+            image_hash[b] = imageFingerprint(
+                eo + b * image_elems, image_elems,
+                mask ? mask + b * image_elems : nullptr);
+    });
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::uint64_t hb : image_hash)
+        h = (h ^ hb) * 1099511628211ull + (h >> 29);
     return h;
 }
 
@@ -94,7 +116,7 @@ SparsePlanCache::get(const float *eo, std::int64_t batch,
 {
     Key key{eo, batch, features, h, w, tile_width, mask};
     std::int64_t image_elems = features * h * w;
-    std::uint64_t fp = fingerprint(eo, batch * image_elems, mask);
+    std::uint64_t fp = fingerprint(eo, batch, image_elems, mask, pool);
 
     std::shared_ptr<SparsePlan> plan;
     {

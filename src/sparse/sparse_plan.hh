@@ -16,8 +16,8 @@
  * checked on every get(), so a new minibatch written into the same
  * tensor storage — the steady-state training pattern — re-encodes,
  * while the BP-weights call that follows BP-data hits. The fingerprint
- * pass reads EO once per get(), amortized against the full transform +
- * compression round trip it replaces.
+ * pass reads EO once per get(), one image per pool task, amortized
+ * against the full transform + compression round trip it replaces.
  *
  * Entries are shared_ptr<const SparsePlan>; invalidation mid-phase
  * just drops the cache's reference and workers finish on the old plan.

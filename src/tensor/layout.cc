@@ -84,31 +84,35 @@ hwcToChw(const float *src, std::int64_t h, std::int64_t w, std::int64_t c,
 }
 
 void
-weightsToKkfc(const float *src, std::int64_t nf, std::int64_t nc,
-              std::int64_t fy, std::int64_t fx, float *dst)
+weightsToKernelRows(const float *src, std::int64_t nf, std::int64_t nc,
+                    std::int64_t fy, std::int64_t fx, std::int64_t pitch,
+                    float *dst)
 {
+    std::int64_t len = fx * nc;
     for (std::int64_t f = 0; f < nf; ++f)
-        for (std::int64_t c = 0; c < nc; ++c)
-            for (std::int64_t ky = 0; ky < fy; ++ky)
-                for (std::int64_t kx = 0; kx < fx; ++kx) {
-                    std::int64_t s = ((f * nc + c) * fy + ky) * fx + kx;
-                    std::int64_t d = ((ky * fx + kx) * nf + f) * nc + c;
-                    dst[d] = src[s];
-                }
+        for (std::int64_t ky = 0; ky < fy; ++ky) {
+            float *row = dst + (f * fy + ky) * pitch;
+            for (std::int64_t kx = 0; kx < fx; ++kx)
+                for (std::int64_t c = 0; c < nc; ++c)
+                    row[kx * nc + c] =
+                        src[((f * nc + c) * fy + ky) * fx + kx];
+            std::fill(row + len, row + pitch, 0.0f);
+        }
 }
 
 void
-weightsFromKkfc(const float *src, std::int64_t fy, std::int64_t fx,
-                std::int64_t nf, std::int64_t nc, float *dst)
+weightsFromKernelRows(const float *src, std::int64_t nf, std::int64_t nc,
+                      std::int64_t fy, std::int64_t fx, std::int64_t pitch,
+                      float *dst)
 {
-    for (std::int64_t ky = 0; ky < fy; ++ky)
-        for (std::int64_t kx = 0; kx < fx; ++kx)
-            for (std::int64_t f = 0; f < nf; ++f)
-                for (std::int64_t c = 0; c < nc; ++c) {
-                    std::int64_t s = ((ky * fx + kx) * nf + f) * nc + c;
-                    std::int64_t d = ((f * nc + c) * fy + ky) * fx + kx;
-                    dst[d] = src[s];
-                }
+    for (std::int64_t f = 0; f < nf; ++f)
+        for (std::int64_t ky = 0; ky < fy; ++ky) {
+            const float *row = src + (f * fy + ky) * pitch;
+            for (std::int64_t kx = 0; kx < fx; ++kx)
+                for (std::int64_t c = 0; c < nc; ++c)
+                    dst[((f * nc + c) * fy + ky) * fx + kx] =
+                        row[kx * nc + c];
+        }
 }
 
 std::int64_t

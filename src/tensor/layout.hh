@@ -52,17 +52,23 @@ void hwcToChw(const float *src, std::int64_t h, std::int64_t w,
               std::int64_t c, float *dst);
 
 /**
- * Weight re-layout for the sparse BP kernel:
- * [F][C][Ky][Kx] -> [Ky][Kx][F][C] so that for fixed kernel
- * coordinates, W'[f][c] is a dense row-major matrix with channels
- * contiguous (Fig. 5b of the paper).
+ * Weight re-layout for the sparse BP kernel: [F][C][Ky][Kx] ->
+ * [F][Ky][pitch]. Row (f, ky) holds the fx * nc weights of one kernel
+ * row in (kx, c) order, channel fastest, at r = kx * nc + c — the
+ * order of the (x, c) floats one output pixel touches in a
+ * channel-fastest input row — and zeros at r in [fx * nc, pitch).
+ *
+ * @param pitch Row length, >= fx * nc.
  */
-void weightsToKkfc(const float *src, std::int64_t nf, std::int64_t nc,
-                   std::int64_t fy, std::int64_t fx, float *dst);
+void weightsToKernelRows(const float *src, std::int64_t nf,
+                         std::int64_t nc, std::int64_t fy,
+                         std::int64_t fx, std::int64_t pitch, float *dst);
 
-/** Inverse of weightsToKkfc. */
-void weightsFromKkfc(const float *src, std::int64_t fy, std::int64_t fx,
-                     std::int64_t nf, std::int64_t nc, float *dst);
+/** Inverse of weightsToKernelRows; the pad lanes are dropped. */
+void weightsFromKernelRows(const float *src, std::int64_t nf,
+                           std::int64_t nc, std::int64_t fy,
+                           std::int64_t fx, std::int64_t pitch,
+                           float *dst);
 
 /**
  * Strided-x data-layout split of Eq. 21 for one 2-D plane:

@@ -1,5 +1,6 @@
 #include "util/cli.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -85,6 +86,7 @@ CliParser::parse(int argc, char **argv)
         Flag &flag = it->second;
         if (flag.kind == Kind::Bool && !have_value) {
             flag.value = "1";
+            flag.given = true;
             continue;
         }
         if (!have_value) {
@@ -119,6 +121,7 @@ CliParser::parse(int argc, char **argv)
             break;
         }
         flag.value = value;
+        flag.given = true;
     }
 }
 
@@ -155,6 +158,51 @@ bool
 CliParser::getBool(const std::string &name) const
 {
     return find(name, Kind::Bool).value == "1";
+}
+
+long long
+CliParser::getIntIn(const std::string &name, long long lo,
+                    long long hi) const
+{
+    long long v = getInt(name);
+    if (v < lo || v > hi) {
+        if (hi == LLONG_MAX)
+            fatal("--%s must be >= %lld, got %lld", name.c_str(), lo, v);
+        fatal("--%s must be in [%lld, %lld], got %lld", name.c_str(), lo,
+              hi, v);
+    }
+    return v;
+}
+
+double
+CliParser::getDoubleIn(const std::string &name, double lo, double hi) const
+{
+    double v = getDouble(name);
+    if (!std::isfinite(v) || v < lo || v > hi) {
+        if (std::isinf(hi))
+            fatal("--%s must be a finite number >= %g, got %g",
+                  name.c_str(), lo, v);
+        fatal("--%s must be in [%g, %g], got %g", name.c_str(), lo, hi, v);
+    }
+    return v;
+}
+
+double
+CliParser::getPositiveDouble(const std::string &name) const
+{
+    double v = getDouble(name);
+    if (!std::isfinite(v) || v <= 0)
+        fatal("--%s must be a finite number > 0, got %g", name.c_str(), v);
+    return v;
+}
+
+bool
+CliParser::given(const std::string &name) const
+{
+    auto it = flags.find(name);
+    if (it == flags.end())
+        panic("flag '--%s' was never registered", name.c_str());
+    return it->second.given;
 }
 
 } // namespace spg

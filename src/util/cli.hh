@@ -9,6 +9,8 @@
 #ifndef SPG_UTIL_CLI_HH
 #define SPG_UTIL_CLI_HH
 
+#include <climits>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -61,6 +63,24 @@ class CliParser
     /** @return the parsed (or default) value of a boolean switch. */
     bool getBool(const std::string &name) const;
 
+    /** @return an integer flag; fatal()s naming the flag unless it
+     *  lies in [lo, hi]. */
+    long long getIntIn(const std::string &name, long long lo,
+                       long long hi = LLONG_MAX) const;
+
+    /** @return a double flag; fatal()s naming the flag unless it is
+     *  finite and lies in [lo, hi]. */
+    double getDoubleIn(
+        const std::string &name, double lo,
+        double hi = std::numeric_limits<double>::infinity()) const;
+
+    /** @return a double flag; fatal()s naming the flag unless it is
+     *  finite and > 0. */
+    double getPositiveDouble(const std::string &name) const;
+
+    /** @return true when argv set the flag, rather than its default. */
+    bool given(const std::string &name) const;
+
     /** Positional (non-flag) arguments in order of appearance. */
     const std::vector<std::string> &positional() const { return args; }
 
@@ -73,6 +93,7 @@ class CliParser
         std::string value;
         std::string defaultValue;
         std::string help;
+        bool given = false;
     };
 
     const Flag &find(const std::string &name, Kind kind) const;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -466,6 +468,170 @@ INSTANTIATE_TEST_SUITE_P(
                 ch = '_';
         return name;
     });
+
+// ---------------------------------------------------------------------
+// DeterminismSparseReplay: the sparse engine's kernel-row replay must
+// equal, byte for byte, a scalar replay of the CT-CSR in (feature
+// tile, output pixel, non-zero) order with one std::fma per
+// contribution, at every pool size. BP-weights sums one slab per image
+// in image order (batch <= BatchReducer::kMinChunks, so every image is
+// its own chunk).
+
+struct ReplayCase
+{
+    ConvSpec spec;
+    const char *label;
+};
+
+/** (kx * c) kernel-row lengths 5, 15, 16, 18, 51 and 320: below, at
+ *  and past one 16-lane vector, several vectors with a tail, and whole
+ *  vectors over two feature tiles with more vectors per pixel than one
+ *  register pass holds; plus stride 2. */
+const ReplayCase kReplayCases[] = {
+    {ConvSpec{12, 12, 1, 7, 5, 5, 1, 1}, "row5"},
+    {ConvSpec{14, 13, 3, 9, 5, 5, 1, 1}, "row15"},
+    {ConvSpec{15, 15, 3, 4, 5, 5, 2, 2}, "row15_stride2"},
+    {ConvSpec{9, 9, 8, 5, 3, 2, 1, 1}, "row16"},
+    {ConvSpec{10, 11, 6, 7, 3, 3, 2, 2}, "row18_stride2"},
+    {ConvSpec{12, 9, 17, 6, 7, 3, 1, 1}, "row51"},
+    {ConvSpec{9, 9, 64, 70, 5, 5, 1, 1}, "row320"},
+};
+
+/** Scalar BP-data: ei[b] = sum over live errors, in replay order. */
+void
+scalarReplayData(const ConvSpec &spec, std::int64_t batch,
+                 const Tensor &eo, const std::uint8_t *mask,
+                 const Tensor &w, std::int64_t tile, Tensor &ei)
+{
+    ei.zero();
+    std::int64_t oy = spec.outY(), ox = spec.outX();
+    for (std::int64_t b = 0; b < batch; ++b)
+        for (std::int64_t f0 = 0; f0 < spec.nf; f0 += tile)
+            for (std::int64_t y = 0; y < oy; ++y)
+                for (std::int64_t x = 0; x < ox; ++x)
+                    for (std::int64_t f = f0;
+                         f < std::min(f0 + tile, spec.nf); ++f) {
+                        std::int64_t i = ((b * spec.nf + f) * oy + y) * ox + x;
+                        float e = eo[i];
+                        if (e == 0.0f || (mask && !mask[i]))
+                            continue;
+                        for (std::int64_t c = 0; c < spec.nc; ++c)
+                            for (std::int64_t ky = 0; ky < spec.fy; ++ky)
+                                for (std::int64_t kx = 0; kx < spec.fx;
+                                     ++kx) {
+                                    float &d = ei.at(b, c, y * spec.sy + ky,
+                                                     x * spec.sx + kx);
+                                    d = std::fma(e, w.at(f, c, ky, kx), d);
+                                }
+                    }
+}
+
+/** Scalar BP-weights: one slab per image in replay order, slabs summed
+ *  in image order. */
+void
+scalarReplayWeights(const ConvSpec &spec, std::int64_t batch,
+                    const Tensor &eo, const std::uint8_t *mask,
+                    const Tensor &in, std::int64_t tile, Tensor &dw)
+{
+    std::int64_t oy = spec.outY(), ox = spec.outX();
+    dw.zero();
+    Tensor slab(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
+    for (std::int64_t b = 0; b < batch; ++b) {
+        slab.zero();
+        for (std::int64_t f0 = 0; f0 < spec.nf; f0 += tile)
+            for (std::int64_t y = 0; y < oy; ++y)
+                for (std::int64_t x = 0; x < ox; ++x)
+                    for (std::int64_t f = f0;
+                         f < std::min(f0 + tile, spec.nf); ++f) {
+                        std::int64_t i = ((b * spec.nf + f) * oy + y) * ox + x;
+                        float e = eo[i];
+                        if (e == 0.0f || (mask && !mask[i]))
+                            continue;
+                        for (std::int64_t c = 0; c < spec.nc; ++c)
+                            for (std::int64_t ky = 0; ky < spec.fy; ++ky)
+                                for (std::int64_t kx = 0; kx < spec.fx;
+                                     ++kx) {
+                                    float &d = slab.at(f, c, ky, kx);
+                                    d = std::fma(
+                                        e,
+                                        in.at(b, c, y * spec.sy + ky,
+                                              x * spec.sx + kx),
+                                        d);
+                                }
+                    }
+        for (std::int64_t k = 0; k < dw.size(); ++k)
+            dw[k] = std::fma(1.0f, slab[k], dw[k]);
+    }
+}
+
+class DeterminismSparseReplay : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(DeterminismSparseReplay, MatchesScalarReplayByteForByte)
+{
+    const ConvSpec &spec = kReplayCases[GetParam()].spec;
+    const std::int64_t batch = 3;
+    Rng rng(5150 + GetParam());
+    Tensor in(Shape{batch, spec.nc, spec.ny, spec.nx});
+    Tensor w(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
+    Tensor eo(Shape{batch, spec.nf, spec.outY(), spec.outX()});
+    in.fillUniform(rng, -1.0f, 1.0f);
+    w.fillUniform(rng, -0.5f, 0.5f);
+    std::vector<std::uint8_t> relu(static_cast<std::size_t>(eo.size()));
+    for (auto &m : relu)
+        m = rng.uniform(0.0f, 1.0f) < 0.6f;
+    SparseBpEngine engine;
+    std::int64_t tile = engine.effectiveFeatureTile(spec.nf);
+
+    for (bool all_zero : {false, true}) {
+        eo.zero();
+        if (!all_zero) {
+            eo.fillUniform(rng, -1.0f, 1.0f);
+            eo.sparsify(rng, 0.8);
+            eo[1] = -0.0f;  // dead, like +0
+        }
+        for (const std::uint8_t *mask : {static_cast<const std::uint8_t *>(nullptr),
+                                         static_cast<const std::uint8_t *>(
+                                             relu.data())}) {
+            Tensor ei_ref(Shape{batch, spec.nc, spec.ny, spec.nx});
+            Tensor dw_ref(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
+            scalarReplayData(spec, batch, eo, mask, w, tile, ei_ref);
+            scalarReplayWeights(spec, batch, eo, mask, in, tile, dw_ref);
+            for (int threads : {1, 2, 4}) {
+                ThreadPool pool(threads);
+                SparsePlanCache::global().invalidate(eo.data());
+                Tensor ei(Shape{batch, spec.nc, spec.ny, spec.nx});
+                Tensor dw(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
+                ei.fill(123.0f);  // must be overwritten
+                dw.fill(321.0f);
+                engine.backwardData(spec, eo, w, ei, pool, BpMask{mask});
+                engine.backwardWeights(spec, eo, in, dw, pool,
+                                       BpMask{mask});
+                EXPECT_EQ(std::memcmp(ei.data(), ei_ref.data(),
+                                      sizeof(float) * ei.size()),
+                          0)
+                    << kReplayCases[GetParam()].label << " BP-data, "
+                    << threads << " threads, masked=" << (mask != nullptr)
+                    << " zero=" << all_zero
+                    << " maxdiff=" << maxAbsDiff(ei, ei_ref);
+                EXPECT_EQ(std::memcmp(dw.data(), dw_ref.data(),
+                                      sizeof(float) * dw.size()),
+                          0)
+                    << kReplayCases[GetParam()].label << " BP-weights, "
+                    << threads << " threads, masked=" << (mask != nullptr)
+                    << " zero=" << all_zero
+                    << " maxdiff=" << maxAbsDiff(dw, dw_ref);
+            }
+        }
+    }
+    SparsePlanCache::global().invalidate(eo.data());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, DeterminismSparseReplay,
+    ::testing::Range(0, static_cast<int>(std::size(kReplayCases))),
+    [](const auto &info) { return kReplayCases[info.param].label; });
 
 TEST(ConvSpecModel, Table1AitValues)
 {

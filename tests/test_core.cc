@@ -133,6 +133,35 @@ TEST(Tuner, ChoiceIsFastestMeasured)
     }
 }
 
+TEST(Tuner, SparseBpWeightsPaysTheEncodeUnlessBpDataSharesIt)
+{
+    // Sparse BP-weights replays BP-data's CT-CSR plan only when BP-data
+    // runs sparse too; otherwise training encodes on every BP-weights
+    // call, and the tuner must charge that encode to the candidate.
+    // Dense errors keep sparse BP-data from winning.
+    TunerOptions opts;
+    opts.reps = 2;
+    opts.batch = 2;
+    Tuner tuner(opts);
+    ThreadPool pool(2);
+    ConvSpec spec{12, 12, 3, 8, 3, 3, 1, 1};
+    for (double sparsity : {0.0, 0.95}) {
+        LayerPlan plan = tuner.tune(spec, sparsity, pool);
+        const auto &timings = plan.timings.at(Phase::BackwardWeights);
+        auto it = std::find_if(timings.begin(), timings.end(),
+                               [](const EngineTiming &t) {
+                                   return t.engine == "sparse";
+                               });
+        ASSERT_NE(it, timings.end());
+        if (plan.bp_data_engine == "sparse")
+            EXPECT_EQ(it->encode_seconds, 0.0) << sparsity;
+        else
+            EXPECT_GT(it->encode_seconds, 0.0)
+                << sparsity << ": BP-data deployed "
+                << plan.bp_data_engine;
+    }
+}
+
 TEST(Tuner, RetunePolicy)
 {
     TunerOptions opts;

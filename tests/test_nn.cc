@@ -346,6 +346,44 @@ TEST(Trainer, RejectsMismatchedDataset)
         { Trainer trainer(net, ds, TrainerOptions{}); }, "does not match");
 }
 
+TEST(Trainer, RejectsDatasetSmallerThanOneBatch)
+{
+    Dataset ds = makeMnistLike(8, 45);
+    Network net(parseNetConfig(mnistNetConfigText()), 12);
+    TrainerOptions opts;
+    opts.batch = 16;
+    EXPECT_DEATH({ Trainer trainer(net, ds, opts); },
+                 "fewer than one batch of 16");
+}
+
+TEST(Trainer, WarnsOnceWhenTheErrorsDie)
+{
+    // Zero conv weights (the layer has no bias) leave every ReLU at 0,
+    // so no error flows back into conv0: its error sparsity is 1.0 in
+    // every epoch, and the trainer says so exactly once.
+    setLogLevel(LogLevel::Quiet);
+    Dataset ds = makeMnistLike(32, 46);
+    Network net(parseNetConfig(mnistNetConfigText()), 13);
+    net.convLayers()[0]->params()[0]->zero();
+    net.convLayers()[0]->paramsUpdated();
+    TrainerOptions opts;
+    opts.epochs = 3;
+    opts.batch = 16;
+    opts.learning_rate = 0.0f;
+    opts.mode = TrainerOptions::Mode::Fixed;
+    opts.log_epochs = false;
+    ThreadPool pool(1);
+    Trainer trainer(net, ds, opts);
+    ::testing::internal::CaptureStderr();
+    auto history = trainer.run(pool);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(history.back().conv_error_sparsity[0], 1.0);
+    std::size_t first = err.find("stopped learning");
+    ASSERT_NE(first, std::string::npos) << err;
+    EXPECT_EQ(err.find("stopped learning", first + 1), std::string::npos)
+        << err;
+}
+
 TEST(FcLayer, LinearityAndBias)
 {
     Geometry g{4, 1, 1};

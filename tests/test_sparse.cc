@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sparse/csr.hh"
@@ -160,69 +164,72 @@ TEST(SparseMm, GoodputFlopsModel)
     EXPECT_EQ(sparseMmFlops(0, 100), 0);
 }
 
-TEST(SparseMm, Axpy2MatchesTwoAxpyCallsExactly)
-{
-    // axpy2 interleaves two independent destination streams; each
-    // stream's per-element operations are the same as a plain axpy, so
-    // the results must be bit-for-bit equal.
-    std::vector<float> x0(53), x1(53), a0(53), a1(53), b0(53), b1(53);
-    Rng rng(10);
-    for (std::size_t i = 0; i < x0.size(); ++i) {
-        x0[i] = rng.uniform(-1.0f, 1.0f);
-        x1[i] = rng.uniform(-1.0f, 1.0f);
-        a0[i] = b0[i] = rng.uniform(-1.0f, 1.0f);
-        a1[i] = b1[i] = rng.uniform(-1.0f, 1.0f);
-    }
-    std::int64_t n = static_cast<std::int64_t>(x0.size());
-    axpy(n, 1.7f, x0.data(), a0.data());
-    axpy(n, 1.7f, x1.data(), a1.data());
-    axpy2(n, 1.7f, x0.data(), b0.data(), x1.data(), b1.data());
-    for (std::size_t i = 0; i < x0.size(); ++i) {
-        EXPECT_EQ(a0[i], b0[i]) << i;
-        EXPECT_EQ(a1[i], b1[i]) << i;
-    }
-}
-
 /** Encode a [C][H][W] tensor both ways — fused fromChw, and the
- *  transpose-then-compress path it replaces — and require the stored
- *  arrays to be BYTE-IDENTICAL per tile. */
+ *  transpose-then-compress path it replaces, on (mask ? chw : 0) when a
+ *  mask is given — and require the stored arrays to be BYTE-IDENTICAL
+ *  per tile (bytes, so NaN values compare too). */
 void
 expectFromChwMatchesStaged(const Tensor &chw, std::int64_t c,
                            std::int64_t h, std::int64_t w,
-                           std::int64_t tile)
+                           std::int64_t tile,
+                           const std::uint8_t *mask = nullptr)
 {
-    auto fused = CtCsrMatrix::fromChw(chw.data(), c, h, w, tile);
+    auto fused = CtCsrMatrix::fromChw(chw.data(), c, h, w, tile, mask);
 
+    Tensor masked = chw.clone();
+    if (mask)
+        for (std::int64_t i = 0; i < masked.size(); ++i)
+            if (!mask[i])
+                masked[i] = 0.0f;
     Tensor hwc(Shape{h * w, c});
-    chwToHwc(chw.data(), c, h, w, hwc.data());
+    chwToHwc(masked.data(), c, h, w, hwc.data());
     auto staged = CtCsrMatrix::fromDense(hwc.data(), h * w, c, tile);
 
-    ASSERT_EQ(fused.rows(), staged.rows()) << "tile " << tile;
-    ASSERT_EQ(fused.cols(), staged.cols()) << "tile " << tile;
-    ASSERT_EQ(fused.tileCount(), staged.tileCount()) << "tile " << tile;
-    EXPECT_EQ(fused.nnz(), staged.nnz()) << "tile " << tile;
+    std::string where = "tile " + std::to_string(tile) + " rows " +
+                        std::to_string(h * w) +
+                        (mask ? " masked" : " unmasked");
+    ASSERT_EQ(fused.rows(), staged.rows()) << where;
+    ASSERT_EQ(fused.cols(), staged.cols()) << where;
+    ASSERT_EQ(fused.tileCount(), staged.tileCount()) << where;
+    EXPECT_EQ(fused.nnz(), staged.nnz()) << where;
     for (std::int64_t t = 0; t < fused.tileCount(); ++t) {
         const CsrMatrix &ft = fused.tile(t);
         const CsrMatrix &st = staged.tile(t);
-        EXPECT_EQ(ft.rowPtr(), st.rowPtr()) << "tile " << tile << " band "
-                                            << t;
-        EXPECT_EQ(ft.colIdx(), st.colIdx()) << "tile " << tile << " band "
-                                            << t;
-        EXPECT_EQ(ft.vals(), st.vals()) << "tile " << tile << " band "
-                                        << t;
+        EXPECT_EQ(ft.rowPtr(), st.rowPtr()) << where << " band " << t;
+        EXPECT_EQ(ft.colIdx(), st.colIdx()) << where << " band " << t;
+        ASSERT_EQ(ft.vals().size(), st.vals().size()) << where;
+        EXPECT_EQ(std::memcmp(ft.vals().data(), st.vals().data(),
+                              sizeof(float) * ft.vals().size()),
+                  0)
+            << where << " band " << t;
     }
 }
 
 TEST(CtCsr, FromChwMatchesStagedEncode)
 {
-    std::int64_t c = 20, h = 7, w = 9;
-    Tensor chw(Shape{c, h, w});
+    // Planes below, at and past one 16-row SIMD step, with and
+    // without a mask; -0.0f must count as dead and NaN as live.
+    const std::int64_t c = 20;
+    const std::pair<std::int64_t, std::int64_t> planes[] = {
+        {1, 1}, {3, 5}, {4, 4}, {1, 17}, {5, 5}, {24, 24}, {7, 9}};
     Rng rng(11);
-    chw.fillUniform(rng);
-    chw.sparsify(rng, 0.8);
-    // Tile dividing C, not dividing C, wider than C, and degenerate 1.
-    for (std::int64_t tile : {1, 4, 7, 20, 64})
-        expectFromChwMatchesStaged(chw, c, h, w, tile);
+    for (auto [h, w] : planes) {
+        Tensor chw(Shape{c, h, w});
+        chw.fillUniform(rng);
+        chw.sparsify(rng, 0.8);
+        for (std::int64_t i = 0; i < chw.size(); i += 7)
+            chw[i] = -0.0f;
+        for (std::int64_t i = 3; i < chw.size(); i += 11)
+            chw[i] = std::numeric_limits<float>::quiet_NaN();
+        std::vector<std::uint8_t> mask(static_cast<std::size_t>(chw.size()));
+        for (auto &m : mask)
+            m = rng.uniform() < 0.5f ? 0 : 1 + (rng.uniform() < 0.5f);
+        // Tile dividing C, not dividing C, wider than C, and degenerate 1.
+        for (std::int64_t tile : {1, 4, 7, 20, 64}) {
+            expectFromChwMatchesStaged(chw, c, h, w, tile);
+            expectFromChwMatchesStaged(chw, c, h, w, tile, mask.data());
+        }
+    }
 }
 
 TEST(CtCsr, FromChwAllZero)
@@ -250,24 +257,43 @@ TEST(CtCsr, EncodeFromChwReusesStorage)
 {
     // Re-encoding into an existing matrix (the plan cache's recycling
     // path) must produce the same result as a fresh build, including
-    // after a geometry change.
+    // after a geometry change and when the nnz shrinks.
     Rng rng(12);
     Tensor big(Shape{16, 6, 8});
     big.fillUniform(rng);
     big.sparsify(rng, 0.5);
     CtCsrMatrix m = CtCsrMatrix::fromChw(big.data(), 16, 6, 8, 5);
 
+    auto expectFresh = [&](const Tensor &t, std::int64_t c,
+                           std::int64_t h, std::int64_t w,
+                           std::int64_t tile) {
+        m.encodeFromChw(t.data(), c, h, w, tile);
+        auto fresh = CtCsrMatrix::fromChw(t.data(), c, h, w, tile);
+        ASSERT_EQ(m.tileCount(), fresh.tileCount());
+        EXPECT_EQ(m.nnz(), fresh.nnz());
+        for (std::int64_t i = 0; i < m.tileCount(); ++i) {
+            EXPECT_EQ(m.tile(i).rowPtr(), fresh.tile(i).rowPtr());
+            EXPECT_EQ(m.tile(i).colIdx(), fresh.tile(i).colIdx());
+            EXPECT_EQ(m.tile(i).vals(), fresh.tile(i).vals());
+        }
+    };
+
     Tensor small(Shape{5, 3, 4});
     small.fillUniform(rng);
     small.sparsify(rng, 0.9);
-    m.encodeFromChw(small.data(), 5, 3, 4, 2);
-    auto fresh = CtCsrMatrix::fromChw(small.data(), 5, 3, 4, 2);
-    ASSERT_EQ(m.tileCount(), fresh.tileCount());
-    for (std::int64_t t = 0; t < m.tileCount(); ++t) {
-        EXPECT_EQ(m.tile(t).rowPtr(), fresh.tile(t).rowPtr());
-        EXPECT_EQ(m.tile(t).colIdx(), fresh.tile(t).colIdx());
-        EXPECT_EQ(m.tile(t).vals(), fresh.tile(t).vals());
-    }
+    expectFresh(small, 5, 3, 4, 2);
+
+    // Same geometry, denser then much sparser: the arrays shrink.
+    Tensor dense(Shape{16, 6, 8});
+    dense.fillUniform(rng);
+    dense.sparsify(rng, 0.1);
+    expectFresh(dense, 16, 6, 8, 5);
+    std::int64_t dense_nnz = m.nnz();
+    Tensor sparse(Shape{16, 6, 8});
+    sparse.fillUniform(rng);
+    sparse.sparsify(rng, 0.95);
+    expectFresh(sparse, 16, 6, 8, 5);
+    EXPECT_LT(m.nnz(), dense_nnz);
 }
 
 TEST(Csr, RowPtrInvariants)

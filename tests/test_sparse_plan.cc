@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sparse/sparse_plan.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
@@ -96,6 +98,29 @@ TEST_F(SparsePlanCacheTest, ContentChangeForcesReencode)
     EXPECT_EQ(cache.stats().hits, 0);
     auto direct = CtCsrMatrix::fromChw(eo.data(), 6, 4, 4, 3);
     EXPECT_EQ(b->images[0].nnz(), direct.nnz());
+    b.reset();
+
+    // The per-image hashes must cover the LAST image too, and its mask:
+    // one flipped byte in either re-encodes. A masked plan has its own
+    // key, so prime it first.
+    std::vector<std::uint8_t> mask(static_cast<std::size_t>(eo.size()), 1);
+    cache.get(eo.data(), 2, 6, 4, 4, 3, pool, mask.data());
+    SparsePlanCache::Stats before = cache.stats();
+
+    // Lowest byte of the last element's mantissa: a real but tiny
+    // change, which a sampled hash could miss.
+    reinterpret_cast<unsigned char *>(eo.data() + eo.size() - 1)[0] ^= 1;
+    cache.get(eo.data(), 2, 6, 4, 4, 3, pool);
+    EXPECT_EQ(cache.stats().encodes, before.encodes + 1)
+        << "flipped EO byte in the last image must re-encode";
+
+    cache.get(eo.data(), 2, 6, 4, 4, 3, pool, mask.data());  // re-prime
+    before = cache.stats();
+    mask.back() = 0;
+    auto masked = cache.get(eo.data(), 2, 6, 4, 4, 3, pool, mask.data());
+    EXPECT_EQ(cache.stats().encodes, before.encodes + 1)
+        << "flipped mask byte in the last image must re-encode";
+    EXPECT_EQ(cache.stats().hits, before.hits);
 }
 
 TEST_F(SparsePlanCacheTest, DifferentTileWidthsAreSeparatePlans)

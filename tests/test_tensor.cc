@@ -158,17 +158,21 @@ TEST(Layout, ChwHwcRoundTrip)
     EXPECT_EQ(maxAbsDiff(a, back), 0.0f);
 }
 
-TEST(Layout, WeightsKkfcRoundTrip)
+TEST(Layout, WeightsKernelRowsRoundTrip)
 {
-    std::int64_t nf = 4, nc = 3, fy = 2, fx = 5;
+    std::int64_t nf = 4, nc = 3, fy = 2, fx = 5, pitch = 16;
     Tensor w(Shape{nf, nc, fy, fx});
     Rng rng(16);
     w.fillUniform(rng);
-    Tensor kkfc(Shape{fy, fx, nf, nc});
-    weightsToKkfc(w.data(), nf, nc, fy, fx, kkfc.data());
-    EXPECT_EQ(kkfc.at(1, 4, 2, 0), w.at(2, 0, 1, 4));
+    Tensor rows = Tensor::uninitialized(Shape{nf, fy, pitch});
+    weightsToKernelRows(w.data(), nf, nc, fy, fx, pitch, rows.data());
+    // r = kx * nc + c, channel fastest; the pad lanes are zero.
+    EXPECT_EQ(rows.at(2, 1, 4 * nc + 0), w.at(2, 0, 1, 4));
+    EXPECT_EQ(rows.at(3, 0, 1 * nc + 2), w.at(3, 2, 0, 1));
+    for (std::int64_t r = fx * nc; r < pitch; ++r)
+        EXPECT_EQ(rows.at(1, 1, r), 0.0f) << r;
     Tensor back(Shape{nf, nc, fy, fx});
-    weightsFromKkfc(kkfc.data(), fy, fx, nf, nc, back.data());
+    weightsFromKernelRows(rows.data(), nf, nc, fy, fx, pitch, back.data());
     EXPECT_EQ(maxAbsDiff(w, back), 0.0f);
 }
 

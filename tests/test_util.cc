@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -157,6 +158,63 @@ TEST(Cli, DefaultsSurviveNoArgs)
     cli.parse(1, const_cast<char **>(argv));
     EXPECT_EQ(cli.getInt("n"), 5);
     EXPECT_TRUE(cli.getBool("flag"));
+}
+
+TEST(Cli, GivenTellsSetFlagsFromDefaults)
+{
+    CliParser cli("test");
+    cli.addDouble("lr", 0.05, "lr");
+    cli.addInt("n", 5, "n");
+    cli.addBool("flag", false, "f");
+    const char *argv[] = {"prog", "--lr=0.05", "--flag"};
+    cli.parse(3, const_cast<char **>(argv));
+    EXPECT_TRUE(cli.given("lr"));  // even when equal to the default
+    EXPECT_TRUE(cli.given("flag"));
+    EXPECT_FALSE(cli.given("n"));
+}
+
+TEST(Cli, RangeGettersAcceptInRangeValues)
+{
+    CliParser cli("test");
+    cli.addInt("batch", 16, "b");
+    cli.addDouble("sparsity", 0.5, "s");
+    cli.addDouble("rate", 10.0, "r");
+    const char *argv[] = {"prog", "--batch=1", "--sparsity=1"};
+    cli.parse(3, const_cast<char **>(argv));
+    EXPECT_EQ(cli.getIntIn("batch", 1), 1);
+    EXPECT_DOUBLE_EQ(cli.getDoubleIn("sparsity", 0.0, 1.0), 1.0);
+    EXPECT_DOUBLE_EQ(cli.getPositiveDouble("rate"), 10.0);
+}
+
+TEST(CliDeath, RangeGettersNameTheFlag)
+{
+    auto parsed = [](std::vector<const char *> argv) {
+        auto cli = std::make_unique<CliParser>("test");
+        cli->addInt("batch", 16, "b");
+        cli->addDouble("sparsity", 0.5, "s");
+        cli->addDouble("lr", 0.05, "lr");
+        argv.insert(argv.begin(), "prog");
+        cli->parse(static_cast<int>(argv.size()),
+                   const_cast<char **>(argv.data()));
+        return cli;
+    };
+    EXPECT_EXIT(parsed({"--batch=0"})->getIntIn("batch", 1),
+                ::testing::ExitedWithCode(1), "--batch must be >= 1");
+    EXPECT_EXIT(parsed({"--batch=9"})->getIntIn("batch", 1, 8),
+                ::testing::ExitedWithCode(1), "--batch must be in");
+    EXPECT_EXIT(parsed({"--sparsity=-0.1"})
+                    ->getDoubleIn("sparsity", 0.0, 1.0),
+                ::testing::ExitedWithCode(1), "--sparsity must be in");
+    EXPECT_EXIT(parsed({"--sparsity=nan"})
+                    ->getDoubleIn("sparsity", 0.0, 1.0),
+                ::testing::ExitedWithCode(1), "--sparsity must be in");
+    EXPECT_EXIT(parsed({"--sparsity=-1"})->getDoubleIn("sparsity", 0.0),
+                ::testing::ExitedWithCode(1),
+                "--sparsity must be a finite number >= 0");
+    EXPECT_EXIT(parsed({"--lr=0"})->getPositiveDouble("lr"),
+                ::testing::ExitedWithCode(1), "--lr must be a finite");
+    EXPECT_EXIT(parsed({"--lr=inf"})->getPositiveDouble("lr"),
+                ::testing::ExitedWithCode(1), "--lr must be a finite");
 }
 
 TEST(Timer, MeasuresElapsed)

@@ -166,12 +166,16 @@ fi
 # the sort of pointer arithmetic ASan checks. The PoolLayer suite rides
 # along: pool BP zeroes each (image, channel) plane of ei inside its
 # parallel task, so a plane written by two tasks is a race TSan must
-# rule out and a stray plane offset an overrun ASan must. Skipped
-# inside a sanitized run (the outer invocation already is one) or when
-# a test filter was passed.
+# rule out and a stray plane offset an overrun ASan must. The sparse
+# BP suites (CtCsr, SparsePlanCache, SparseMm, ConvEngines.Sparse*)
+# ride along: the kernel-row replay's masked tail vectors and the
+# encode's row-cursor scatter are what ASan must prove in-bounds, and
+# the pool-parallel plan fingerprint is what TSan must prove race-free.
+# Skipped inside a sanitized run (the outer invocation already is one)
+# or when a test filter was passed.
 if [[ $# -eq 0 && -z "${SPG_SANITIZE:-}" ]]; then
     for san in address thread; do
         SPG_SANITIZE="$san" "$(cd .. && pwd)/tools/check.sh" \
-            -R 'Determinism|PoolLayer|Direct|Blocked|SparseWeights|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|PerfCnt|Affinity|Rapl|DataParallel|Allreduce|GradCompress|ExchangeSched'
+            -R 'Determinism|PoolLayer|Direct|Blocked|SparseWeights|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|PerfCnt|Affinity|Rapl|DataParallel|Allreduce|GradCompress|ExchangeSched|CtCsr|SparsePlanCache|SparseMm|ConvEngines\.Sparse'
     done
 fi

@@ -13,7 +13,10 @@
  * inside the bound or the exit status is non-zero (wired into ctest).
  */
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -52,8 +55,15 @@ parseRates(const std::string &list)
         if (comma == std::string::npos)
             comma = list.size();
         std::string item = list.substr(pos, comma - pos);
-        if (!item.empty())
-            rates.push_back(std::stod(item));
+        if (!item.empty()) {
+            char *end = nullptr;
+            double rate = std::strtod(item.c_str(), &end);
+            if (end == item.c_str() || *end != '\0' ||
+                !std::isfinite(rate) || rate <= 0)
+                fatal("--rates entries must be numbers > 0, got '%s'",
+                      item.c_str());
+            rates.push_back(rate);
+        }
         pos = comma + 1;
     }
     if (rates.empty())
@@ -127,17 +137,27 @@ main(int argc, char **argv)
                   "fail when any point's p99 exceeds this (0 = off)");
     cli.parse(argc, argv);
 
-    NetConfig config = resolveNet(cli.getString("net"));
+    // Every numeric flag is checked before any serving work starts.
+    constexpr long long kMaxThreads = 1024;
     serve::ServerOptions sopts;
-    sopts.instances = static_cast<int>(cli.getInt("instances"));
-    sopts.max_batch = cli.getInt("max-batch");
-    sopts.batch_budget_ms = cli.getDouble("budget-ms");
+    sopts.instances =
+        static_cast<int>(cli.getIntIn("instances", 1, kMaxThreads));
+    sopts.max_batch = cli.getIntIn("max-batch", 1);
+    sopts.batch_budget_ms = cli.getDoubleIn("budget-ms", 0.0);
     sopts.queue_capacity =
-        static_cast<std::size_t>(cli.getInt("queue-cap"));
+        static_cast<std::size_t>(cli.getIntIn("queue-cap", 1));
     sopts.threads_per_instance =
-        static_cast<int>(cli.getInt("threads"));
+        static_cast<int>(cli.getIntIn("threads", 0, kMaxThreads));
     sopts.tune = !cli.getBool("no-tune");
-    sopts.tuner_reps = static_cast<int>(cli.getInt("tuner-reps"));
+    sopts.tuner_reps =
+        static_cast<int>(cli.getIntIn("tuner-reps", 1, INT_MAX));
+    const std::int64_t dataset_size = cli.getIntIn("dataset-size", 1);
+    const double duration = cli.getPositiveDouble("duration");
+    const double slo_ms = cli.getPositiveDouble("slo-ms");
+    const double max_p99 = cli.getDoubleIn("max-p99-ms", 0.0);
+    std::vector<double> rates = parseRates(cli.getString("rates"));
+
+    NetConfig config = resolveNet(cli.getString("net"));
 
     serve::Server server(config, sopts);
     server.warmup();
@@ -153,11 +173,10 @@ main(int argc, char **argv)
             spec.classes = config.classes > 0
                                ? static_cast<int>(config.classes)
                                : 10;
-            spec.count = cli.getInt("dataset-size");
+            spec.count = dataset_size;
             return makeSynthetic(spec);
         }();
 
-    std::vector<double> rates = parseRates(cli.getString("rates"));
     std::vector<serve::LoadGenResult> points;
     TablePrinter table("open-loop sweep: " + config.name,
                        {"offered", "qps", "goodput", "p50 ms",
@@ -165,10 +184,10 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < rates.size(); ++i) {
         serve::LoadGenOptions lopts;
         lopts.rate_qps = rates[i];
-        lopts.duration_s = cli.getDouble("duration");
+        lopts.duration_s = duration;
         lopts.seed = static_cast<std::uint64_t>(cli.getInt("seed")) +
                      i * 7919;
-        lopts.slo_ms = cli.getDouble("slo-ms");
+        lopts.slo_ms = slo_ms;
         points.push_back(serve::runOpenLoop(server, dataset, lopts));
         const serve::LoadGenResult &p = points.back();
         table.addRow({TablePrinter::fmt(p.offered_qps, 1),
@@ -184,7 +203,7 @@ main(int argc, char **argv)
 
     if (!cli.getString("json-file").empty())
         writeJson(cli.getString("json-file"), config.name, sopts,
-                  cli.getDouble("slo-ms"), points);
+                  slo_ms, points);
 
     int rc = 0;
     for (const serve::LoadGenResult &p : points) {
@@ -200,7 +219,6 @@ main(int argc, char **argv)
                          static_cast<long long>(p.rejected));
             rc = 1;
         }
-        double max_p99 = cli.getDouble("max-p99-ms");
         if (max_p99 > 0 && p.p99_ms > max_p99) {
             std::fprintf(stderr,
                          "FAIL: offered %.1f qps p99 %.2fms exceeds "

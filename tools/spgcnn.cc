@@ -59,6 +59,7 @@
  *       applies.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -118,10 +119,33 @@ ConvSpec
 specFromFlags(const CliParser &cli)
 {
     ConvSpec spec = ConvSpec::square(
-        cli.getInt("n"), cli.getInt("nf"), cli.getInt("nc"),
-        cli.getInt("k"), cli.getInt("stride"));
+        cli.getIntIn("n", 1), cli.getIntIn("nf", 1), cli.getIntIn("nc", 1),
+        cli.getIntIn("k", 1), cli.getIntIn("stride", 1));
     spec.validate();
     return spec;
+}
+
+/** Most pool threads a flag may ask for. */
+constexpr long long kMaxThreads = 1024;
+
+/** --threads (0 = hardware), range-checked. */
+int
+threadsFlag(const CliParser &cli)
+{
+    return static_cast<int>(cli.getIntIn("threads", 0, kMaxThreads));
+}
+
+/**
+ * --lr, or the net's own default when unset: cifar10 trains at 0.01,
+ * because at 0.05 its ReLUs die in the first epoch (loss ln 10, error
+ * sparsity 1.00).
+ */
+float
+learningRateFlag(const CliParser &cli)
+{
+    if (!cli.given("lr") && cli.getString("net") == "cifar10")
+        return 0.01f;
+    return static_cast<float>(cli.getPositiveDouble("lr"));
 }
 
 int
@@ -133,7 +157,7 @@ cmdTrain(int argc, char **argv)
     cli.addInt("dataset-size", 256, "synthetic examples");
     cli.addInt("epochs", 5, "training epochs");
     cli.addInt("batch", 16, "minibatch size");
-    cli.addDouble("lr", 0.05, "learning rate");
+    cli.addDouble("lr", 0.05, "learning rate (cifar10: 0.01 unless set)");
     cli.addString("mode", "auto", "auto (spg-CNN scheduler) | fixed");
     cli.addString("fp", "gemm-in-parallel", "FP engine for fixed mode");
     cli.addString("bp", "gemm-in-parallel", "BP engine for fixed mode");
@@ -148,6 +172,18 @@ cmdTrain(int argc, char **argv)
                   "(plus .metrics.json and .drift.json sidecars)");
     cli.parse(argc, argv);
 
+    TrainerOptions options;
+    options.epochs = static_cast<int>(cli.getIntIn("epochs", 1, INT_MAX));
+    options.batch = cli.getIntIn("batch", 1);
+    options.learning_rate = learningRateFlag(cli);
+    const std::int64_t dataset_size = cli.getIntIn("dataset-size", 1);
+    if (dataset_size < options.batch)
+        fatal("--dataset-size=%lld is smaller than --batch=%lld, so an "
+              "epoch would run no step",
+              static_cast<long long>(dataset_size),
+              static_cast<long long>(options.batch));
+    const int threads = threadsFlag(cli);
+
     if (!cli.getString("trace").empty())
         obs::Tracer::global().enable(cli.getString("trace"));
 
@@ -157,11 +193,7 @@ cmdTrain(int argc, char **argv)
     if (!cli.getString("load").empty())
         loadCheckpoint(net, cli.getString("load"));
 
-    Dataset dataset = datasetFor(config, cli.getInt("dataset-size"));
-    TrainerOptions options;
-    options.epochs = static_cast<int>(cli.getInt("epochs"));
-    options.batch = cli.getInt("batch");
-    options.learning_rate = static_cast<float>(cli.getDouble("lr"));
+    Dataset dataset = datasetFor(config, dataset_size);
     if (!cli.getString("prune").empty())
         options.prune = parsePruneSchedule(cli.getString("prune"));
     std::string mode = cli.getString("mode");
@@ -175,7 +207,7 @@ cmdTrain(int argc, char **argv)
         fatal("--mode must be auto or fixed, got '%s'", mode.c_str());
     }
 
-    ThreadPool pool(static_cast<int>(cli.getInt("threads")));
+    ThreadPool pool(threads);
     Trainer trainer(net, dataset, options);
     auto history = trainer.run(pool);
 
@@ -230,7 +262,7 @@ cmdCharacterize(int argc, char **argv)
     cli.parse(argc, argv);
 
     ConvSpec spec = specFromFlags(cli);
-    double sparsity = cli.getDouble("sparsity");
+    double sparsity = cli.getDoubleIn("sparsity", 0.0, 1.0);
 
     std::printf("convolution %s -> %lldx%lld, %.1f MFlops/image\n",
                 spec.str().c_str(),
@@ -288,13 +320,14 @@ cmdTune(int argc, char **argv)
 
     ConvSpec spec = specFromFlags(cli);
     TunerOptions topts;
-    topts.batch = cli.getInt("batch");
+    topts.batch = cli.getIntIn("batch", 1);
+    const double sparsity = cli.getDoubleIn("sparsity", 0.0, 1.0);
+    const double weight_sparsity =
+        cli.getDoubleIn("weight-sparsity", 0.0, 1.0);
     Tuner tuner(topts);
-    ThreadPool pool(static_cast<int>(cli.getInt("threads")));
-    LayerPlan plan =
-        tuner.tune(spec, cli.getDouble("sparsity"), pool,
-                   /*fused_relu=*/false,
-                   cli.getDouble("weight-sparsity"));
+    ThreadPool pool(threadsFlag(cli));
+    LayerPlan plan = tuner.tune(spec, sparsity, pool,
+                                /*fused_relu=*/false, weight_sparsity);
 
     TablePrinter table("measured engine times for " + spec.str() +
                            " (" + std::to_string(pool.threads()) +
@@ -402,20 +435,28 @@ cmdServe(int argc, char **argv)
                   "write a Chrome trace-event JSON to this path");
     cli.parse(argc, argv);
 
+    serve::ServerOptions sopts;
+    sopts.instances =
+        static_cast<int>(cli.getIntIn("instances", 1, kMaxThreads));
+    sopts.max_batch = cli.getIntIn("max-batch", 1);
+    sopts.batch_budget_ms = cli.getDoubleIn("budget-ms", 0.0);
+    sopts.queue_capacity =
+        static_cast<std::size_t>(cli.getIntIn("queue-cap", 1));
+    sopts.threads_per_instance = threadsFlag(cli);
+    sopts.tune = !cli.getBool("no-tune");
+    sopts.tuner_reps =
+        static_cast<int>(cli.getIntIn("tuner-reps", 1, INT_MAX));
+    const std::int64_t dataset_size = cli.getIntIn("dataset-size", 1);
+    serve::LoadGenOptions lopts;
+    lopts.rate_qps = cli.getPositiveDouble("rate");
+    lopts.duration_s = cli.getPositiveDouble("duration");
+    lopts.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
+    lopts.slo_ms = cli.getPositiveDouble("slo-ms");
+
     if (!cli.getString("trace").empty())
         obs::Tracer::global().enable(cli.getString("trace"));
 
     NetConfig config = resolveNet(cli.getString("net"));
-    serve::ServerOptions sopts;
-    sopts.instances = static_cast<int>(cli.getInt("instances"));
-    sopts.max_batch = cli.getInt("max-batch");
-    sopts.batch_budget_ms = cli.getDouble("budget-ms");
-    sopts.queue_capacity =
-        static_cast<std::size_t>(cli.getInt("queue-cap"));
-    sopts.threads_per_instance =
-        static_cast<int>(cli.getInt("threads"));
-    sopts.tune = !cli.getBool("no-tune");
-    sopts.tuner_reps = static_cast<int>(cli.getInt("tuner-reps"));
 
     serve::Server server(config, sopts);
     Network &net = server.instanceNet(0);
@@ -469,12 +510,7 @@ cmdServe(int argc, char **argv)
         }
     }
 
-    Dataset dataset = datasetFor(config, cli.getInt("dataset-size"));
-    serve::LoadGenOptions lopts;
-    lopts.rate_qps = cli.getDouble("rate");
-    lopts.duration_s = cli.getDouble("duration");
-    lopts.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
-    lopts.slo_ms = cli.getDouble("slo-ms");
+    Dataset dataset = datasetFor(config, dataset_size);
 
     obs::RaplReader &meter = obs::energyMeter();
     double joules_before =
@@ -538,6 +574,9 @@ cmdCounters(int argc, char **argv)
     cli.addInt("reps", 2, "timed reps per engine");
     cli.addInt("threads", 0, "worker threads (0 = hardware)");
     cli.parse(argc, argv);
+    const std::int64_t batch = cli.getIntIn("batch", 1);
+    const int reps = static_cast<int>(cli.getIntIn("reps", 1, INT_MAX));
+    const int threads = threadsFlag(cli);
 
     obs::perfInitFromEnv();
     std::printf("hardware counters: %s | RAPL energy: %s\n\n",
@@ -563,9 +602,7 @@ cmdCounters(int argc, char **argv)
         {"sparse-weights (CSR)", 0, "sparse-weights-direct", 0.9},
     };
 
-    ThreadPool pool(static_cast<int>(cli.getInt("threads")));
-    const std::int64_t batch = cli.getInt("batch");
-    const int reps = static_cast<int>(cli.getInt("reps"));
+    ThreadPool pool(threads);
     // Any machine works here: the traffic model's byte counts (and so
     // both AIT columns) do not depend on the machine constants.
     MachineModel machine = MachineModel::xeonE5_2650();
@@ -693,7 +730,7 @@ cmdCluster(int argc, char **argv)
     cli.addInt("global-batch", 32,
                "global minibatch, split evenly across workers");
     cli.addInt("epochs", 1, "training epochs");
-    cli.addDouble("lr", 0.05, "learning rate");
+    cli.addDouble("lr", 0.05, "learning rate (cifar10: 0.01 unless set)");
     cli.addString("grad-compress", "dense",
                   "wire encoding: dense | threshold:<t> "
                   "(threshold:0 = lossless sparse) | topk:<frac>");
@@ -714,24 +751,28 @@ cmdCluster(int argc, char **argv)
                   "write the modeled scaling JSON to this path");
     cli.parse(argc, argv);
 
-    NetConfig config = resolveNet(cli.getString("net"));
-    Dataset dataset = datasetFor(config, cli.getInt("dataset-size"));
-
     DataParallelOptions opts;
-    opts.workers = static_cast<int>(cli.getInt("workers"));
-    opts.global_batch = cli.getInt("global-batch");
-    opts.epochs = static_cast<int>(cli.getInt("epochs"));
-    opts.learning_rate = static_cast<float>(cli.getDouble("lr"));
+    opts.workers = static_cast<int>(cli.getIntIn("workers", 1, kMaxThreads));
+    opts.global_batch = cli.getIntIn("global-batch", 1);
+    opts.epochs = static_cast<int>(cli.getIntIn("epochs", 1, INT_MAX));
+    opts.learning_rate = learningRateFlag(cli);
+    const std::int64_t dataset_size = cli.getIntIn("dataset-size", 1);
+    const int threads = threadsFlag(cli);
+
+    NetConfig config = resolveNet(cli.getString("net"));
+    Dataset dataset = datasetFor(config, dataset_size);
+
     opts.tune = cli.getBool("tune");
     opts.exchange.compress =
         parseGradCompress(cli.getString("grad-compress"));
     opts.exchange.algo = parseAllreduceAlgo(cli.getString("allreduce"));
     opts.exchange.overlap = !cli.getBool("no-overlap");
-    opts.exchange.link.bandwidth_gbs = cli.getDouble("link-gbs");
-    opts.exchange.link.latency_s = cli.getDouble("latency-us") * 1e-6;
+    opts.exchange.link.bandwidth_gbs = cli.getPositiveDouble("link-gbs");
+    opts.exchange.link.latency_s =
+        cli.getDoubleIn("latency-us", 0.0) * 1e-6;
 
     DataParallelTrainer trainer(config, 1, dataset, opts);
-    ThreadPool pool(static_cast<int>(cli.getInt("threads")));
+    ThreadPool pool(threads);
     auto history = trainer.run(pool);
 
     TablePrinter table(
