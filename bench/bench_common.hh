@@ -3,14 +3,14 @@
  * Shared plumbing for the figure/table reproduction benches.
  *
  * Every bench regenerates one table or figure of the paper. Because
- * this reproduction runs on a single-core host, each bench reports up
- * to two kinds of numbers, clearly labelled:
+ * the host running it has far fewer cores than the paper's 16-core
+ * machine, each bench reports up to two kinds of numbers, clearly
+ * labelled:
  *
  *  - SIMULATED: the modeled 16-core Xeon E5-2650 (simcpu) — these are
  *    the rows/series the paper's multicore figures show;
- *  - MEASURED: real single-core kernel executions on this host —
- *    ground truth validating the single-core claims and calibrating
- *    the model.
+ *  - MEASURED: real kernel executions on the host — ground truth
+ *    validating the single-core claims and calibrating the model.
  */
 
 #ifndef SPG_BENCH_COMMON_HH

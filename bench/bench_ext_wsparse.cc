@@ -10,7 +10,7 @@
  *  - "direct": the register-tiled sparse-weights-direct engine,
  *    running WARM on its cached CSR plan;
  *  - the once-per-weight-version CSR encode cost (cold call through
- *    PackedWeightCache, reported informationally as encode_ms).
+ *    WeightPlanCache, reported informationally as encode_ms).
  *
  * Every direct result is verified bit-for-bit against the reference
  * engine before timing. Repetitions are interleaved across the two
@@ -28,7 +28,7 @@
 #include "bench/bench_common.hh"
 #include "conv/engine_sparse_direct.hh"
 #include "conv/engines.hh"
-#include "conv/packed_weights.hh"
+#include "conv/weight_plans.hh"
 #include "core/tuner.hh"
 #include "data/suites.hh"
 #include "util/logging.hh"
@@ -129,7 +129,7 @@ main(int argc, char **argv)
     GemmInParallelEngine dense;
     SparseDirectFpEngine direct;
     ReferenceEngine reference;
-    PackedWeightCache &wcache = PackedWeightCache::global();
+    WeightPlanCache &wcache = WeightPlanCache::global();
 
     bool first_layer = true;
     for (int id : parseIds(cli.getString("ids"))) {
@@ -180,11 +180,10 @@ main(int argc, char **argv)
             // call above already built the plan; rebuild from cold so
             // the measurement is honest.
             wcache.invalidate(w.data());
-            auto before = wcache.sparseStats();
+            auto before = wcache.stats();
             direct.forward(spec, in, w, out, pool);
             pt.encode_seconds =
-                wcache.sparseStats().encode_seconds -
-                before.encode_seconds;
+                wcache.stats().encode_seconds - before.encode_seconds;
 
             // Warm steady-state timing, reps interleaved across both
             // engines.

@@ -188,8 +188,8 @@ measureNetwork(const std::string &config_text, std::int64_t batch,
 
     NetMeasurement m;
     m.fused_step = m.unfused_step = 1e30;
-    // One untimed warm-up step allocates buffers and caches packed
-    // weights; then each timed step feeds both variants the same batch
+    // One untimed warm-up step allocates buffers and warms the plan
+    // caches; then each timed step feeds both variants the same batch
     // and checks they agree bit-for-bit on the loss.
     for (int step = 0; step <= steps; ++step) {
         images.fillUniform(rng, -1.0f, 1.0f);

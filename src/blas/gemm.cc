@@ -2,25 +2,38 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
 #include "util/aligned.hh"
-#include "util/logging.hh"
 
 namespace spg {
 
 namespace {
 
-// Short local aliases for the public blocking parameters.
-constexpr std::int64_t kMr = kGemmMr;
-constexpr std::int64_t kNr = kGemmNr;
-constexpr std::int64_t kMc = kGemmMc;
-constexpr std::int64_t kKc = kGemmKc;
-constexpr std::int64_t kNc = kGemmNc;
+/** Micro-tile height: rows of C per micro-kernel invocation. */
+constexpr std::int64_t kMr = 6;
+#if defined(__AVX512F__)
+/** Micro-tile width; two 16-float AVX-512 vectors. */
+constexpr std::int64_t kNr = 32;
+#else
+/** Micro-tile width; two 8-float AVX vectors. */
+constexpr std::int64_t kNr = 16;
+#endif
+
+/** Cache-blocking parameters (L2-resident A panel, L1-resident B). */
+constexpr std::int64_t kMc = 120;
+constexpr std::int64_t kKc = 256;
+constexpr std::int64_t kNc = 2048;
+
+/** @return x rounded up to the next multiple of to. */
+constexpr std::int64_t
+roundUpTo(std::int64_t x, std::int64_t to)
+{
+    return (x + to - 1) / to * to;
+}
 
 /** Element of op(X) at row r, col c for a row-major X with stride ld. */
 inline float
@@ -227,61 +240,42 @@ scaleC(std::int64_t m, std::int64_t n, float beta, float *c,
 }
 
 /**
- * The shared blocking loop nest. Either operand may be pre-packed
- * (pa / pb non-null, full-matrix panel layout per PackedMatrix docs),
- * in which case the corresponding pack step is skipped and panels are
- * addressed by the closed-form block offsets. Columns [jc0, jc1) of C
- * are computed; jc0 must be a multiple of kNc and jc1 either a
- * multiple of kNc or n (so packed-B block offsets stay valid) — plain
- * calls pass [0, n).
+ * The blocking loop nest: kNc-wide column blocks of C, kKc-deep k
+ * blocks (op(B) block packed once per (jc, pc)), kMc-tall row blocks
+ * (op(A) block packed with alpha baked in), then the micro-tiles.
  *
- * When pa is set, alpha was baked into the panels at pack time and the
- * alpha argument is ignored.
+ * Kept out of line on purpose: a build that inlined it into sgemm, its
+ * only caller, ran the 64 x 16 x 1600 layer shape about 5% slower.
  */
-void
+__attribute__((noinline)) void
 gemmBlocked(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
             std::int64_t k, float alpha, const float *a, std::int64_t lda,
             const float *b, std::int64_t ldb, float beta, float *c,
-            std::int64_t ldc, const float *pa, const float *pb,
-            std::int64_t jc0, std::int64_t jc1)
+            std::int64_t ldc)
 {
-    if (m <= 0 || jc1 <= jc0)
+    if (m <= 0)
         return;
-    if (k <= 0 || (!pa && alpha == 0.0f)) {
-        for (std::int64_t i = 0; i < m; ++i)
-            scaleC(1, jc1 - jc0, beta, c + i * ldc + jc0, ldc);
+    if (k <= 0 || alpha == 0.0f) {
+        scaleC(m, n, beta, c, ldc);
         return;
     }
-    SPG_ASSERT(jc0 % kNc == 0);
-    SPG_ASSERT(jc1 == n || jc1 % kNc == 0);
 
     Scratch &s = scratch();
-    s.ensure(pa ? 0 : static_cast<std::size_t>(kMc) * kKc,
-             pb ? 0 : static_cast<std::size_t>(kKc) * kNc);
-    std::int64_t m_padded = roundUpTo(m, kMr);
+    s.ensure(static_cast<std::size_t>(kMc) * kKc,
+             static_cast<std::size_t>(kKc) * kNc);
 
-    for (std::int64_t jc = jc0; jc < jc1; jc += kNc) {
-        std::int64_t nc = std::min(kNc, jc1 - jc);
+    for (std::int64_t jc = 0; jc < n; jc += kNc) {
+        std::int64_t nc = std::min(kNc, n - jc);
         std::int64_t nc_padded = roundUpTo(nc, kNr);
         for (std::int64_t pc = 0; pc < k; pc += kKc) {
             std::int64_t kc = std::min(kKc, k - pc);
             float beta_eff = pc == 0 ? beta : 1.0f;
-            const float *bblock;
-            if (pb) {
-                bblock = pb + jc * k + nc_padded * pc;
-            } else {
-                packB(tb, b, ldb, pc, jc, kc, nc, s.b.data());
-                bblock = s.b.data();
-            }
+            packB(tb, b, ldb, pc, jc, kc, nc, s.b.data());
+            const float *bblock = s.b.data();
             for (std::int64_t ic = 0; ic < m; ic += kMc) {
                 std::int64_t mc = std::min(kMc, m - ic);
-                const float *ablock;
-                if (pa) {
-                    ablock = pa + m_padded * pc + ic * kc;
-                } else {
-                    packA(ta, a, lda, ic, pc, mc, kc, alpha, s.a.data());
-                    ablock = s.a.data();
-                }
+                packA(ta, a, lda, ic, pc, mc, kc, alpha, s.a.data());
+                const float *ablock = s.a.data();
                 for (std::int64_t jr = 0; jr < nc_padded; jr += kNr) {
                     const float *bp = bblock + jr * kc;
                     std::int64_t cols = std::min(kNr, nc - jr);
@@ -300,76 +294,6 @@ gemmBlocked(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
 }
 
 } // namespace
-
-void
-packMatrixAInto(Trans ta, std::int64_t m, std::int64_t k, float alpha,
-                const float *a, std::int64_t lda, float *panels)
-{
-    std::int64_t m_padded = roundUpTo(m, kMr);
-    for (std::int64_t pc = 0; pc < k; pc += kKc) {
-        std::int64_t kc = std::min(kKc, k - pc);
-        for (std::int64_t ic = 0; ic < m; ic += kMc) {
-            std::int64_t mc = std::min(kMc, m - ic);
-            packA(ta, a, lda, ic, pc, mc, kc, alpha,
-                  panels + m_padded * pc + ic * kc);
-        }
-    }
-}
-
-void
-packMatrixBInto(Trans tb, std::int64_t k, std::int64_t n, const float *b,
-                std::int64_t ldb, float *panels)
-{
-    for (std::int64_t jc = 0; jc < n; jc += kNc) {
-        std::int64_t nc = std::min(kNc, n - jc);
-        std::int64_t nc_padded = roundUpTo(nc, kNr);
-        for (std::int64_t pc = 0; pc < k; pc += kKc) {
-            std::int64_t kc = std::min(kKc, k - pc);
-            packB(tb, b, ldb, pc, jc, kc, nc,
-                  panels + jc * k + nc_padded * pc);
-        }
-    }
-}
-
-PackedMatrix
-PackedMatrix::packA(Trans ta, std::int64_t m, std::int64_t k, float alpha,
-                    const float *a, std::int64_t lda)
-{
-    SPG_ASSERT(m > 0 && k > 0);
-    PackedMatrix packed(Kind::A, m, k);
-    packed.owned_ = AlignedBuffer<float>(panelElemsA(m, k));
-    packMatrixAInto(ta, m, k, alpha, a, lda, packed.owned_.data());
-    packed.data_ = packed.owned_.data();
-    return packed;
-}
-
-PackedMatrix
-PackedMatrix::packB(Trans tb, std::int64_t k, std::int64_t n,
-                    const float *b, std::int64_t ldb)
-{
-    SPG_ASSERT(k > 0 && n > 0);
-    PackedMatrix packed(Kind::B, k, n);
-    packed.owned_ = AlignedBuffer<float>(panelElemsB(k, n));
-    packMatrixBInto(tb, k, n, b, ldb, packed.owned_.data());
-    packed.data_ = packed.owned_.data();
-    return packed;
-}
-
-PackedMatrix
-PackedMatrix::viewA(std::int64_t m, std::int64_t k, const float *panels)
-{
-    PackedMatrix packed(Kind::A, m, k);
-    packed.data_ = panels;
-    return packed;
-}
-
-PackedMatrix
-PackedMatrix::viewB(std::int64_t k, std::int64_t n, const float *panels)
-{
-    PackedMatrix packed(Kind::B, k, n);
-    packed.data_ = panels;
-    return packed;
-}
 
 void
 gemmNaive(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
@@ -397,47 +321,7 @@ sgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
 {
     if (n <= 0)
         return;
-    gemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-                nullptr, nullptr, 0, n);
-}
-
-void
-sgemmPackedA(const PackedMatrix &a, Trans tb, std::int64_t n,
-             const float *b, std::int64_t ldb, float beta, float *c,
-             std::int64_t ldc)
-{
-    SPG_ASSERT(a.kind() == PackedMatrix::Kind::A && !a.empty());
-    if (n <= 0)
-        return;
-    gemmBlocked(Trans::No, tb, a.rows(), n, a.cols(), 1.0f, nullptr, 0, b,
-                ldb, beta, c, ldc, a.panels(), nullptr, 0, n);
-}
-
-void
-sgemmPackedB(Trans ta, std::int64_t m, float alpha, const float *a,
-             std::int64_t lda, const PackedMatrix &b, float beta, float *c,
-             std::int64_t ldc)
-{
-    SPG_ASSERT(b.kind() == PackedMatrix::Kind::B && !b.empty());
-    if (b.cols() <= 0)
-        return;
-    gemmBlocked(ta, Trans::No, m, b.cols(), b.rows(), alpha, a, lda,
-                nullptr, 0, beta, c, ldc, nullptr, b.panels(), 0,
-                b.cols());
-}
-
-void
-sgemmPackedAB(const PackedMatrix &a, const PackedMatrix &b, float beta,
-              float *c, std::int64_t ldc)
-{
-    SPG_ASSERT(a.kind() == PackedMatrix::Kind::A &&
-               b.kind() == PackedMatrix::Kind::B);
-    SPG_ASSERT(a.cols() == b.rows());
-    if (b.cols() <= 0)
-        return;
-    gemmBlocked(Trans::No, Trans::No, a.rows(), b.cols(), a.cols(), 1.0f,
-                nullptr, 0, nullptr, 0, beta, c, ldc, a.panels(),
-                b.panels(), 0, b.cols());
+    gemmBlocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
 void
@@ -473,57 +357,6 @@ parallelGemm(ThreadPool &pool, Trans ta, Trans tb, std::int64_t m,
                   beta, c + begin, ldc);
         });
     }
-}
-
-void
-parallelGemmPackedA(ThreadPool &pool, const PackedMatrix &a, Trans tb,
-                    std::int64_t n, const float *b, std::int64_t ldb,
-                    float beta, float *c, std::int64_t ldc)
-{
-    SPG_ASSERT(a.kind() == PackedMatrix::Kind::A && !a.empty());
-    std::int64_t m = a.rows(), k = a.cols();
-    if (n <= 0)
-        return;
-    if (pool.threads() <= 1 ||
-        static_cast<std::int64_t>(m) * n * k < 32 * 32 * 32) {
-        sgemmPackedA(a, tb, n, b, ldb, beta, c, ldc);
-        return;
-    }
-    // Packed panels are indexed by (row block, k block) only, so any
-    // column partition can share them read-only.
-    pool.parallelFor(n, [&](std::int64_t begin, std::int64_t end, int) {
-        const float *b_slab = tb == Trans::No ? b + begin
-                                              : b + begin * ldb;
-        gemmBlocked(Trans::No, tb, m, end - begin, k, 1.0f, nullptr, 0,
-                    b_slab, ldb, beta, c + begin, ldc, a.panels(),
-                    nullptr, 0, end - begin);
-    });
-}
-
-void
-parallelGemmPackedAB(ThreadPool &pool, const PackedMatrix &a,
-                     const PackedMatrix &b, float beta, float *c,
-                     std::int64_t ldc)
-{
-    SPG_ASSERT(a.kind() == PackedMatrix::Kind::A &&
-               b.kind() == PackedMatrix::Kind::B);
-    SPG_ASSERT(a.cols() == b.rows());
-    std::int64_t n = b.cols();
-    if (n <= 0)
-        return;
-    std::int64_t nblocks = (n + kNc - 1) / kNc;
-    if (pool.threads() <= 1 || nblocks <= 1) {
-        sgemmPackedAB(a, b, beta, c, ldc);
-        return;
-    }
-    // Packed-B block offsets require kNc-aligned ranges, so the
-    // partition is over whole column blocks.
-    pool.parallelFor(nblocks, [&](std::int64_t begin, std::int64_t end,
-                                  int) {
-        gemmBlocked(Trans::No, Trans::No, a.rows(), n, a.cols(), 1.0f,
-                    nullptr, 0, nullptr, 0, beta, c, ldc, a.panels(),
-                    b.panels(), begin * kNc, std::min(n, end * kNc));
-    });
 }
 
 void

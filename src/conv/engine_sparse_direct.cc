@@ -1,6 +1,6 @@
 #include "conv/engine_sparse_direct.hh"
 
-#include "conv/packed_weights.hh"
+#include "conv/weight_plans.hh"
 #include "obs/trace.hh"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
@@ -165,8 +165,7 @@ SparseDirectFpEngine::forward(const ConvSpec &spec, const Tensor &in,
     std::int64_t batch = in.shape()[0];
     std::int64_t oy = spec.outY(), ox = spec.outX();
 
-    auto plan =
-        PackedWeightCache::global().getSparseConv(weights.data(), spec);
+    auto plan = WeightPlanCache::global().get(weights.data(), spec);
     const float *vals = plan->csr.vals().data();
     const std::int64_t *rptr = plan->csr.rowPtr().data();
     const std::int64_t *offs = plan->in_off.data();

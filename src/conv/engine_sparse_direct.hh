@@ -7,10 +7,10 @@
  * PAPERS.md) — the complementary direction to the paper's
  * error-sparsity BP kernel. The weights are encoded once per
  * weight version into a SparseWeightPlan held by the persistent
- * PackedWeightCache (rows = output features, columns = flattened
+ * WeightPlanCache (rows = output features, columns = flattened
  * (c, ky, kx) taps, plus precomputed input offsets), so steady-state
  * forward passes pay zero encode work; ConvLayer::paramsUpdated()
- * invalidation plus the cache's FNV-1a content fingerprint re-encode
+ * invalidation plus the cache's content fingerprint re-encode
  * exactly when a pruning step or SGD update changes the weights.
  *
  * Instead of accumulating every non-zero tap into the output plane

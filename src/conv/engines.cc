@@ -8,8 +8,6 @@ makeEngines()
     std::vector<std::unique_ptr<ConvEngine>> engines;
     engines.push_back(std::make_unique<UnfoldGemmEngine>());
     engines.push_back(std::make_unique<GemmInParallelEngine>());
-    engines.push_back(std::make_unique<UnfoldGemmPackedEngine>());
-    engines.push_back(std::make_unique<GemmInParallelPackedEngine>());
     engines.push_back(std::make_unique<StencilEngine>());
     engines.push_back(std::make_unique<DirectEngine>());
     engines.push_back(std::make_unique<SparseBpEngine>());

@@ -12,7 +12,6 @@
 #include "conv/engine.hh"
 #include "conv/engine_direct.hh"
 #include "conv/engine_gemm.hh"
-#include "conv/engine_gemm_packed.hh"
 #include "conv/engine_sparse.hh"
 #include "conv/engine_sparse_direct.hh"
 #include "conv/engine_stencil.hh"
@@ -22,10 +21,10 @@ namespace spg {
 
 /**
  * @return one instance of every production engine (the reference
- * oracle excluded): parallel-gemm, gemm-in-parallel, their
- * packed-operand variants, stencil, direct, sparse, winograd and
- * sparse-weights-direct. Each engine's supports() and appliesTo() say
- * where it is a candidate; the tuner measures exactly those.
+ * oracle excluded): parallel-gemm, gemm-in-parallel, stencil,
+ * direct, sparse, winograd and sparse-weights-direct. Each engine's
+ * supports() and appliesTo() say where it is a candidate; the tuner
+ * measures exactly those.
  */
 std::vector<std::unique_ptr<ConvEngine>> makeEngines();
 

@@ -3,7 +3,7 @@
  * Per-thread scratch buffers for convolution engines.
  *
  * Engines need transient buffers (unfolded inputs, layout-transformed
- * operands, private weight-gradient accumulators). Allocating them per
+ * operands, per-task weight-gradient tiles). Allocating them per
  * call would dominate small layers, so each worker thread keeps a
  * small arena of named slots that grow monotonically and are reused
  * across calls.
@@ -56,23 +56,20 @@ enum ScratchSlot
 {
     kSlotUnfold = 0,       ///< im2col matrix
     kSlotUnfoldGrad = 1,   ///< gradient of the unfolded matrix
-    kSlotPrivateDw = 2,    ///< per-thread weight-gradient accumulator
-    kSlotLayoutA = 3,      ///< layout-transform staging A
-    kSlotLayoutB = 4,      ///< layout-transform staging B
-    kSlotLayoutC = 5,      ///< layout-transform staging C
-    kSlotStencilIn = 6,    ///< strided-split input planes
-    kSlotStencilOut = 7,   ///< stencil output staging
-    kSlotPanelsB = 8,      ///< im2col emitted directly in B-panel format
-    kSlotMaskedEo = 9,     ///< ReLU-masked copy of one image's errors
+    kSlotLayoutA = 2,      ///< layout-transform staging A
+    kSlotLayoutB = 3,      ///< layout-transform staging B
+    kSlotLayoutC = 4,      ///< layout-transform staging C
+    kSlotStencilIn = 5,    ///< strided-split input planes
+    kSlotMaskedEo = 6,     ///< ReLU-masked copy of one image's errors
     // Direct NCHWc engine. The batch-wide staging slots (In / Weights /
     // Out) are taken from the DISPATCHING thread's arena and shared
     // read-only (or disjointly written) by the workers inside one
     // fork-join region; kSlotDirectDw is a genuinely per-thread
     // gradient tile.
-    kSlotDirectIn = 10,      ///< blocked input / staged (masked) errors
-    kSlotDirectWeights = 11, ///< KCRSck or BP-gather blocked weights
-    kSlotDirectOut = 12,     ///< blocked output / input-error staging
-    kSlotDirectDw = 13       ///< one task's [fx][8][8] gradient tile
+    kSlotDirectIn = 7,      ///< blocked input / staged (masked) errors
+    kSlotDirectWeights = 8, ///< KCRSck or BP-gather blocked weights
+    kSlotDirectOut = 9,     ///< blocked output / input-error staging
+    kSlotDirectDw = 10      ///< one task's [fx][8][8] gradient tile
 };
 
 } // namespace spg

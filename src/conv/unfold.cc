@@ -1,13 +1,6 @@
 #include "conv/unfold.hh"
 
-#include <algorithm>
 #include <cstring>
-
-#if defined(__AVX2__) || defined(__AVX512F__)
-#include <immintrin.h>
-#endif
-
-#include "blas/gemm.hh"
 
 namespace spg {
 
@@ -36,112 +29,6 @@ unfoldImage(const ConvSpec &spec, const float *in, float *u)
             }
         }
     }
-}
-
-void
-unfoldImageToPanels(const ConvSpec &spec, const float *in, float *panels)
-{
-    std::int64_t ox = spec.outX();
-    std::int64_t k = spec.gemmK(), n = spec.gemmN();
-    // Iterate in DESTINATION order (jc block, pc block, jr panel, row
-    // p, column j) so the 4*k*n-byte output is written as one strictly
-    // sequential stream; the source runs are short but stay within a
-    // couple of cache lines between consecutive rows p. dst advances
-    // through the buffer with no gaps — the layout places jc blocks,
-    // then pc blocks, then kNr-wide panels back to back.
-    //
-    // Buffers too large to stay cached until the GEMM are written with
-    // non-temporal stores, skipping the read-for-ownership of 4*k*n
-    // cold bytes; small buffers keep ordinary stores so the GEMM reads
-    // them back from cache.
-    const bool stream = static_cast<std::int64_t>(sizeof(float)) * k * n
-                        >= (std::int64_t{16} << 20);
-    float *dst = panels;
-    for (std::int64_t jc = 0; jc < n; jc += kGemmNc) {
-        std::int64_t ncb = std::min(kGemmNc, n - jc);
-        for (std::int64_t pc = 0; pc < k; pc += kGemmKc) {
-            std::int64_t kc = std::min(kGemmKc, k - pc);
-            for (std::int64_t jr = 0; jr < ncb; jr += kGemmNr) {
-                std::int64_t width = std::min(kGemmNr, ncb - jr);
-                // Source position of the panel's first column — the
-                // only division in the whole walk.
-                std::int64_t y0 = (jc + jr) / ox;
-                std::int64_t x0 = (jc + jr) - y0 * ox;
-                // Decode the first U' row r = pc of this depth block
-                // into (channel, ky, kx); advance incrementally per p.
-                std::int64_t kx = pc % spec.fx;
-                std::int64_t t = pc / spec.fx;
-                std::int64_t ky = t % spec.fy;
-                std::int64_t c = t / spec.fy;
-                for (std::int64_t p = 0; p < kc; ++p) {
-                    const float *plane = in + c * spec.ny * spec.nx;
-                    std::int64_t y = y0, x = x0, done = 0;
-                    while (done < width) {
-                        std::int64_t run =
-                            std::min(width - done, ox - x);
-                        const float *src =
-                            plane + (y * spec.sy + ky) * spec.nx + kx +
-                            x * spec.sx;
-                        if (spec.sx == 1) {
-                            if (run == kGemmNr && stream) {
-                                // Full panel row in one run: dst is a
-                                // panel-row start, so it is vector
-                                // aligned (sfence below).
-#if defined(__AVX512F__)
-                                _mm512_stream_ps(dst,
-                                                 _mm512_loadu_ps(src));
-                                _mm512_stream_ps(
-                                    dst + 16, _mm512_loadu_ps(src + 16));
-#elif defined(__AVX2__)
-                                _mm256_stream_ps(dst,
-                                                 _mm256_loadu_ps(src));
-                                _mm256_stream_ps(
-                                    dst + 8, _mm256_loadu_ps(src + 8));
-#else
-                                std::memcpy(dst, src,
-                                            kGemmNr * sizeof(float));
-#endif
-                            } else if (run == kGemmNr) {
-                                std::memcpy(dst, src,
-                                            kGemmNr * sizeof(float));
-                            } else {
-                                std::memcpy(dst + done, src,
-                                            run * sizeof(float));
-                            }
-                        } else {
-                            for (std::int64_t i = 0; i < run; ++i)
-                                dst[done + i] = src[i * spec.sx];
-                        }
-                        done += run;
-                        x += run;
-                        if (x == ox) {
-                            x = 0;
-                            ++y;
-                        }
-                    }
-                    // Zero the padding columns of a short final panel
-                    // so the buffer is byte-identical to
-                    // packMatrixBInto output.
-                    if (width < kGemmNr)
-                        std::memset(dst + width, 0,
-                                    (kGemmNr - width) * sizeof(float));
-                    dst += kGemmNr;
-                    if (++kx == spec.fx) {
-                        kx = 0;
-                        if (++ky == spec.fy) {
-                            ky = 0;
-                            ++c;
-                        }
-                    }
-                }
-            }
-        }
-    }
-#if defined(__AVX2__) || defined(__AVX512F__)
-    // Make the streamed stores visible before the caller hands the
-    // buffer to the GEMM (or to another thread).
-    _mm_sfence();
-#endif
 }
 
 void

@@ -37,24 +37,6 @@ namespace spg {
 void unfoldImage(const ConvSpec &spec, const float *in, float *u);
 
 /**
- * Fused unfold: emit U' directly in the GEMM B-panel format
- * (blas/gemm.hh PackedMatrix, B kind, k = gemmK(), n = gemmN()),
- * skipping the dense intermediate that packB would otherwise re-read
- * and copy. Output is byte-identical to
- * packMatrixBInto(Trans::No, ..., unfoldImage(...)), including the
- * zero-filled padding columns, so a PackedMatrix::viewB over the
- * buffer plugs straight into sgemmPackedB / sgemmPackedAB.
- *
- * @param spec Layer geometry.
- * @param in Input image [Nc][Ny][Nx].
- * @param panels Destination, overwritten; size
- *     PackedMatrix::panelElemsB(spec.gemmK(), spec.gemmN()) floats,
- *     64-byte aligned.
- */
-void unfoldImageToPanels(const ConvSpec &spec, const float *in,
-                         float *panels);
-
-/**
  * Fold (col2im): accumulate the unfolded-gradient matrix back into the
  * input-error image. ei must be zeroed by the caller first.
  *

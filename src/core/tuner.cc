@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "conv/engine_direct.hh"
-#include "conv/packed_weights.hh"
+#include "conv/weight_plans.hh"
 #include "obs/metrics.hh"
 #include "obs/perfcnt.hh"
 #include "obs/trace.hh"
@@ -125,13 +125,11 @@ Tuner::measure(const ConvEngine &engine, Phase phase, const ConvSpec &spec,
                 Epilogue{Epilogue::Kind::ReluMask, fp_mask.data()};
         }
         if (wsparse_once) {
-            PackedWeightCache &wcache = PackedWeightCache::global();
+            WeightPlanCache &wcache = WeightPlanCache::global();
             wcache.invalidate(weights.data());
-            PackedWeightCache::SparseStats wbefore =
-                wcache.sparseStats();
+            WeightPlanCache::Stats wbefore = wcache.stats();
             engine.forward(spec, in, weights, out, pool, epilogue);
-            PackedWeightCache::SparseStats wafter =
-                wcache.sparseStats();
+            WeightPlanCache::Stats wafter = wcache.stats();
             timing.encode_seconds =
                 wafter.encode_seconds - wbefore.encode_seconds;
         }

@@ -177,7 +177,7 @@ loadCheckpoint(Network &net, std::istream &in)
         }
     }
 
-    // Restored weights invalidate any derived caches (packed panels).
+    // Restored weights invalidate any derived caches (weight plans).
     for (std::size_t i = 0; i < net.layerCount(); ++i)
         net.layer(i).paramsUpdated();
 }

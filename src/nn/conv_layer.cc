@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "conv/packed_weights.hh"
+#include "conv/weight_plans.hh"
 #include "nn/pruning.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -47,14 +47,14 @@ ConvLayer::ConvLayer(std::string label, const ConvSpec &spec, Rng &rng)
     eo_sparsity_gauge =
         &obs::Metrics::global().gauge("conv." + this->label +
                                       ".eo_sparsity");
-    // A prior layer may have packed weights at this freshly-reused
-    // address; make sure no stale panels can alias the new tensor.
-    PackedWeightCache::global().invalidate(weights_.data());
+    // A prior layer may have encoded weights at this freshly-reused
+    // address; make sure no stale plan can alias the new tensor.
+    WeightPlanCache::global().invalidate(weights_.data());
 }
 
 ConvLayer::~ConvLayer()
 {
-    PackedWeightCache::global().invalidate(weights_.data());
+    WeightPlanCache::global().invalidate(weights_.data());
 }
 
 std::string
@@ -214,13 +214,13 @@ ConvLayer::update(float learning_rate)
     // again here keeps the layer at its scheduled sparsity between
     // prune steps.
     applyPruneMask(weights_, prune_mask);
-    PackedWeightCache::global().invalidate(weights_.data());
+    WeightPlanCache::global().invalidate(weights_.data());
 }
 
 void
 ConvLayer::paramsUpdated()
 {
-    PackedWeightCache::global().invalidate(weights_.data());
+    WeightPlanCache::global().invalidate(weights_.data());
 }
 
 void

@@ -121,7 +121,7 @@ class Layer
     /**
      * Notify the layer that its parameter tensors were just mutated
      * through params() (checkpoint restore, parameter averaging) so it
-     * can drop caches derived from them (e.g. packed weight panels).
+     * can drop caches derived from them (e.g. CSR weight plans).
      * update() implies this; external writers must call it themselves.
      */
     virtual void paramsUpdated() {}

@@ -84,9 +84,9 @@ Server::warmup()
         std::memset(inst->staging.data(), 0,
                     static_cast<std::size_t>(opts_.max_batch) *
                         image_elems_ * sizeof(float));
-        // One forward per bucket warms the packed-weight and sparse-
-        // plan caches for every engine the plan can deploy, and
-        // leaves the largest bucket's engines in place.
+        // One forward per bucket warms the weight-plan and sparse-plan
+        // caches for every engine the plan can deploy, and leaves the
+        // largest bucket's engines in place.
         for (std::size_t b = 0; b < buckets.size(); ++b) {
             deployBucket(*inst, b);
             inst->cur_bucket = b;

@@ -104,7 +104,7 @@ class Server
      * the one-time costs: run the serving-mode tuner (per conv layer,
      * per batch bucket), reserve each replica's activation arena at
      * max_batch, and run one forward per bucket per instance to warm
-     * the packed-weight / sparse-plan caches and the negotiated
+     * the weight-plan / sparse-plan caches and the negotiated
      * layouts. Call after loadWeights() and before start().
      */
     void warmup();

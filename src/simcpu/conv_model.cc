@@ -40,10 +40,7 @@ unfoldTrafficElems(const ConvSpec &spec, Phase phase)
  * footprint already counted once per stream: the A-panel write (its
  * re-reads are L2-resident and free under the model's conventions)
  * plus the B-panel write AND kernel re-read (B panels are streamed, so
- * the round trip hits memory). The packed engines elide exactly these
- * terms — a cached weight operand drops its whole pack share, and the
- * fused unfold emits panels directly so U never round-trips through a
- * dense intermediate.
+ * the round trip hits memory).
  *
  * @param a_elems Per-core footprint of the A operand.
  * @param b_elems Per-core footprint of the B operand.
@@ -150,11 +147,9 @@ modelGemmInParallelMm(const MachineModel &machine, std::int64_t m,
 bool
 hasConvModel(const std::string &engine)
 {
-    return engine == "parallel-gemm" || engine == "parallel-gemm-packed" ||
-           engine == "gemm-in-parallel" ||
-           engine == "gemm-in-parallel-packed" || engine == "stencil" ||
-           engine == "direct" || engine == "sparse" ||
-           engine == "sparse-weights-direct";
+    return engine == "parallel-gemm" || engine == "gemm-in-parallel" ||
+           engine == "stencil" || engine == "direct" ||
+           engine == "sparse" || engine == "sparse-weights-direct";
 }
 
 SimResult
@@ -191,19 +186,12 @@ modelConvPhase(const MachineModel &machine, const ConvSpec &spec,
                             ? dense_flops
                             : (1.0 - sparsity) * dense_flops;
 
-    if (engine == "parallel-gemm" || engine == "parallel-gemm-packed") {
+    if (engine == "parallel-gemm") {
         // Sequential over images: serial unfold/fold prologue + the
-        // partitioned MM, once per image; fork-join per image. The
-        // packed variant inherits the unpacked BP-weights path (the
-        // weights are that GEMM's OUTPUT, nothing to cache).
-        bool packed = engine == "parallel-gemm-packed" &&
-                      phase != Phase::BackwardWeights;
-        // The packed engine always partitions columns (kGemmNc blocks
-        // of the shared packed operands); the unpacked one prefers
-        // rows when there are enough of them.
+        // partitioned MM, once per image; fork-join per image. The MM
+        // partitions rows when there are enough of them.
         GemmPartition part =
-            !packed && (mm.m >= static_cast<std::int64_t>(cores) * 6 ||
-                        mm.m >= mm.n)
+            mm.m >= static_cast<std::int64_t>(cores) * 6 || mm.m >= mm.n
                 ? GemmPartition::Rows
                 : GemmPartition::Cols;
         double mc = part == GemmPartition::Rows
@@ -222,15 +210,8 @@ modelConvPhase(const MachineModel &machine, const ConvSpec &spec,
             part == GemmPartition::Rows ? a_elems / cores : a_elems;
         double b_core =
             part == GemmPartition::Cols ? b_elems / cores : b_elems;
-        if (!packed) {
-            // Every core re-packs its operand footprint per image.
-            mm_task.bytes += kFloat * packExtraElems(a_core, b_core);
-        } else if (phase == Phase::BackwardData) {
-            // Weights are cached packed, but the EO slab (B operand)
-            // still packs per call.
-            mm_task.bytes += kFloat * packExtraElems(0.0, b_core);
-        }
-        // Packed FP pays nothing: weights cached, unfold fused.
+        // Every core re-packs its operand footprint per image.
+        mm_task.bytes += kFloat * packExtraElems(a_core, b_core);
         if (phase == Phase::Forward)
             mm_task.bytes += kFloat * fused_fp_elems / cores;
         mm_task.efficiency = machine.gemmEfficiency(mc, ncols, mm.k);
@@ -246,19 +227,13 @@ modelConvPhase(const MachineModel &machine, const ConvSpec &spec,
         return one;
     }
 
-    if (engine == "gemm-in-parallel" ||
-        engine == "gemm-in-parallel-packed") {
-        bool packed = engine == "gemm-in-parallel-packed" &&
-                      phase != Phase::BackwardWeights;
+    if (engine == "gemm-in-parallel") {
         SimTask task;
         task.flops = dense_flops;
         task.bytes = kFloat * unfoldTrafficElems(spec, phase);
         double a_elems, b_elems;
         phaseOperandElems(spec, phase, a_elems, b_elems);
-        if (!packed)
-            task.bytes += kFloat * packExtraElems(a_elems, b_elems);
-        else if (phase == Phase::BackwardData)
-            task.bytes += kFloat * packExtraElems(0.0, b_elems);
+        task.bytes += kFloat * packExtraElems(a_elems, b_elems);
         task.bytes += kFloat * (phase == Phase::Forward
                                     ? fused_fp_elems
                                     : fused_stage_elems);

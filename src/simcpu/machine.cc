@@ -1,6 +1,29 @@
 #include "simcpu/machine.hh"
 
+#include <algorithm>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace spg {
+
+namespace {
+
+/** @return the CPUs this process may run on (at least 1). */
+int
+affinityCpuCount()
+{
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return std::max(1, CPU_COUNT(&set));
+#endif
+    return 1;
+}
+
+} // namespace
 
 MachineModel
 MachineModel::xeonE5_2650()
@@ -12,9 +35,9 @@ MachineModel
 MachineModel::hostCalibrated(double measured_gemm_gflops)
 {
     MachineModel m;
-    m.name = "host-1core";
-    m.physical_cores = 1;
-    m.logical_cores = 1;
+    m.name = "host";
+    m.physical_cores = affinityCpuCount();
+    m.logical_cores = m.physical_cores;
     // Treat the measured sustained GEMM rate as efficiency x peak.
     m.peak_gflops_per_core = measured_gemm_gflops / m.gemm_efficiency;
     m.dram_bw_gbs = 12.0;

@@ -1,9 +1,8 @@
 #include "sparse/sparse_plan.hh"
 
-#include <cstring>
-
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "util/fingerprint.hh"
 #include "util/timer.hh"
 
 namespace spg {
@@ -13,42 +12,6 @@ namespace {
 /** A handful of conv layers times up to three phases is the working
  *  set; past this something is leaking keys, so start over. */
 constexpr std::size_t kMaxEntries = 64;
-
-/**
- * Content hash over the raw error-gradient bytes. Error tensors are
- * megabytes (unlike the kilobyte weight tensors PackedWeightCache
- * guards with byte-serial FNV-1a), and the hash runs on every get(),
- * so a byte-at-a-time multiply chain would cost more than the encode
- * it saves. Four independent FNV-style lanes over 64-bit words hide
- * the multiply latency and run near load bandwidth; every byte still
- * feeds the result, so any in-place mutation changes the hash.
- */
-std::uint64_t
-fingerprintBytes(const unsigned char *bytes, std::size_t n)
-{
-    constexpr std::uint64_t kPrime = 1099511628211ull;
-    std::uint64_t lane[4] = {14695981039346656037ull,
-                             0x9ae16a3b2f90404full,
-                             0xc949d7c7509e6557ull,
-                             0xff51afd7ed558ccdull};
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        std::uint64_t word[4];
-        std::memcpy(word, bytes + i, 32);
-        for (int l = 0; l < 4; ++l) {
-            lane[l] ^= word[l];
-            lane[l] *= kPrime;
-        }
-    }
-    for (; i < n; ++i) {
-        lane[0] ^= bytes[i];
-        lane[0] *= kPrime;
-    }
-    std::uint64_t h = lane[0];
-    for (int l = 1; l < 4; ++l)
-        h = (h ^ lane[l]) * kPrime + (h >> 29);
-    return h;
-}
 
 /** Fingerprint of one image's errors plus its optional fused ReLU
  *  mask: both inputs determine the plan, so both feed the hash. */

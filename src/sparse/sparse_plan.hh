@@ -11,11 +11,12 @@
  * ever written) and hands both phases the same read-only plan: the
  * second phase replays non-zeros with zero encoding work or traffic.
  *
- * Staleness is handled like PackedWeightCache: a keyed lookup
- * (pointer + geometry + tile width) plus an FNV-1a content fingerprint
- * checked on every get(), so a new minibatch written into the same
- * tensor storage — the steady-state training pattern — re-encodes,
- * while the BP-weights call that follows BP-data hits. The fingerprint
+ * Staleness is handled like WeightPlanCache: a keyed lookup
+ * (pointer + geometry + tile width) plus a content fingerprint
+ * (util/fingerprint.hh) checked on every get(), so a new minibatch
+ * written into the same tensor storage — the steady-state training
+ * pattern — re-encodes, while the BP-weights call that follows
+ * BP-data hits. The fingerprint
  * pass reads EO once per get(), one image per pool task, amortized
  * against the full transform + compression round trip it replaces.
  *

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "conv/engines.hh"
-#include "conv/packed_weights.hh"
 #include "sparse/sparse_plan.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
@@ -116,8 +115,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Range(0, static_cast<int>(std::size(kCases))),
         ::testing::Values(std::string("parallel-gemm"),
                           std::string("gemm-in-parallel"),
-                          std::string("parallel-gemm-packed"),
-                          std::string("gemm-in-parallel-packed"),
                           std::string("stencil"), std::string("direct"),
                           std::string("sparse")),
         ::testing::Values(0.0, 0.85, 0.99)),
@@ -136,8 +133,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ConvEngines, RegistryKnowsAllNames)
 {
     for (const char *name :
-         {"reference", "parallel-gemm", "gemm-in-parallel",
-          "parallel-gemm-packed", "gemm-in-parallel-packed", "stencil",
+         {"reference", "parallel-gemm", "gemm-in-parallel", "stencil",
           "direct", "sparse", "winograd", "sparse-weights-direct"}) {
         auto e = makeEngine(name);
         ASSERT_NE(e, nullptr) << name;
@@ -145,7 +141,7 @@ TEST(ConvEngines, RegistryKnowsAllNames)
     }
     EXPECT_EQ(makeEngine("no-such-engine"), nullptr);
     // One engine per technique; the oracle stays out of the registry.
-    EXPECT_EQ(makeEngines().size(), 9u);
+    EXPECT_EQ(makeEngines().size(), 7u);
 }
 
 TEST(ConvEngines, ApplicabilityPredicate)
@@ -183,72 +179,6 @@ TEST(ConvEngines, PhaseSupportMatrix)
     EXPECT_FALSE(makeEngine("sparse")->supports(Phase::Forward));
     EXPECT_TRUE(makeEngine("sparse")->supports(Phase::BackwardData));
     EXPECT_TRUE(makeEngine("sparse")->supports(Phase::BackwardWeights));
-}
-
-TEST(ConvEngines, PackedEnginesMatchUnpackedBitForBit)
-{
-    // The packed variants skip operand packing inside the blocking
-    // loops but run the identical blocking and micro-kernel order, so
-    // their outputs must be EXACTLY equal, not just close.
-    PackedWeightCache::global().clear();
-    ConvSpec spec{14, 12, 3, 7, 3, 3, 1, 1};
-    std::int64_t batch = 3;
-    Rng rng(77);
-    ThreadPool pool(3);
-    Tensor in(Shape{batch, spec.nc, spec.ny, spec.nx});
-    Tensor w(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
-    Tensor eo(Shape{batch, spec.nf, spec.outY(), spec.outX()});
-    in.fillUniform(rng);
-    w.fillUniform(rng, -0.5f, 0.5f);
-    eo.fillUniform(rng);
-
-    const char *pairs[][2] = {
-        {"parallel-gemm", "parallel-gemm-packed"},
-        {"gemm-in-parallel", "gemm-in-parallel-packed"},
-    };
-    for (const auto &pair : pairs) {
-        auto plain = makeEngine(pair[0]);
-        auto packed = makeEngine(pair[1]);
-        Tensor out_a(Shape{batch, spec.nf, spec.outY(), spec.outX()});
-        Tensor out_b(Shape{batch, spec.nf, spec.outY(), spec.outX()});
-        plain->forward(spec, in, w, out_a, pool);
-        packed->forward(spec, in, w, out_b, pool);
-        EXPECT_EQ(maxAbsDiff(out_a, out_b), 0.0f) << pair[1] << " FP";
-
-        Tensor ei_a(Shape{batch, spec.nc, spec.ny, spec.nx});
-        Tensor ei_b(Shape{batch, spec.nc, spec.ny, spec.nx});
-        plain->backwardData(spec, eo, w, ei_a, pool);
-        packed->backwardData(spec, eo, w, ei_b, pool);
-        EXPECT_EQ(maxAbsDiff(ei_a, ei_b), 0.0f) << pair[1] << " BP-data";
-    }
-    EXPECT_GT(PackedWeightCache::global().size(), 0u);
-    PackedWeightCache::global().clear();
-}
-
-TEST(ConvEngines, PackedEngineSeesInPlaceWeightMutation)
-{
-    // Direct engine users mutate weight tensors without notifying the
-    // cache; the content fingerprint must force a re-pack.
-    PackedWeightCache::global().clear();
-    ConvSpec spec{10, 10, 2, 4, 3, 3, 1, 1};
-    Rng rng(78);
-    ThreadPool pool(2);
-    Tensor in(Shape{2, spec.nc, spec.ny, spec.nx});
-    Tensor w(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
-    in.fillUniform(rng);
-    w.fillUniform(rng);
-
-    auto packed = makeEngine("gemm-in-parallel-packed");
-    Tensor out(Shape{2, spec.nf, spec.outY(), spec.outX()});
-    packed->forward(spec, in, w, out, pool);  // caches packed w
-
-    w[0] += 1.0f;  // in-place mutation, same pointer and dims
-    Tensor out_ref(Shape{2, spec.nf, spec.outY(), spec.outX()});
-    ReferenceEngine().forward(spec, in, w, out_ref, pool);
-    packed->forward(spec, in, w, out, pool);
-    EXPECT_TRUE(allClose(out, out_ref, 1e-3f, 1e-4f))
-        << "stale packed weights served after mutation";
-    PackedWeightCache::global().clear();
 }
 
 TEST(ConvEngines, SparseEncodesOncePerMinibatch)

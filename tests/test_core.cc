@@ -95,14 +95,14 @@ TEST(Tuner, PicksSupportedEnginesForEveryPhase)
     EXPECT_NE(plan.bp_data_engine, "stencil"); // stencil is FP-only
     EXPECT_DOUBLE_EQ(plan.tuned_sparsity, 0.9);
 
-    // FP candidates: parallel-gemm, gemm-in-parallel, their packed
-    // variants, stencil, direct, and (3x3 stride 1) winograd; the
-    // CSR-weights engine sits out on an unpruned layer.
-    EXPECT_EQ(plan.timings.at(Phase::Forward).size(), 7u);
-    // BP candidates: parallel-gemm, gemm-in-parallel, the packed
-    // variants, direct, and sparse.
-    EXPECT_EQ(plan.timings.at(Phase::BackwardData).size(), 6u);
-    EXPECT_EQ(plan.timings.at(Phase::BackwardWeights).size(), 6u);
+    // FP candidates: parallel-gemm, gemm-in-parallel, stencil, direct,
+    // and (3x3 stride 1) winograd; the CSR-weights engine sits out on
+    // an unpruned layer.
+    EXPECT_EQ(plan.timings.at(Phase::Forward).size(), 5u);
+    // BP candidates: parallel-gemm, gemm-in-parallel, direct, and
+    // sparse.
+    EXPECT_EQ(plan.timings.at(Phase::BackwardData).size(), 4u);
+    EXPECT_EQ(plan.timings.at(Phase::BackwardWeights).size(), 4u);
     for (const auto &[phase, timings] : plan.timings) {
         for (const auto &timing : timings)
             EXPECT_GT(timing.seconds, 0.0) << phaseName(phase);
@@ -274,7 +274,7 @@ TEST(Tuner, ExtensionsRespectGeometryGates)
     auto on5x5 = fp_engines(ConvSpec{10, 10, 2, 3, 5, 5, 1, 1}, 0.8);
     EXPECT_FALSE(has(on5x5, "winograd"));
     EXPECT_TRUE(has(on5x5, "sparse-weights-direct"));
-    EXPECT_EQ(on5x5.size(), 7u);
+    EXPECT_EQ(on5x5.size(), 5u);
 }
 
 TEST(Suites, Table2GeometriesAreValid)

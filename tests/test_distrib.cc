@@ -281,15 +281,14 @@ TEST(DataParallel, DeploysPerLayerEnginePlans)
     EngineAssignment plan;
     plan.fp = "stencil";
     plan.bp_data = "gemm-in-parallel";
-    plan.bp_weights = "gemm-in-parallel-packed";
+    plan.bp_weights = "parallel-gemm";
     opts.conv_engines = {plan};  // broadcast to every conv layer
     DataParallelTrainer dp(tinyConfig(), 23, ds, opts);
     dp.run(pool);
 
     ASSERT_EQ(dp.deployedEngines().size(), 1u);  // one conv layer
     EXPECT_EQ(dp.deployedEngines()[0].fp, "stencil");
-    EXPECT_EQ(dp.deployedEngines()[0].bp_weights,
-              "gemm-in-parallel-packed");
+    EXPECT_EQ(dp.deployedEngines()[0].bp_weights, "parallel-gemm");
 }
 
 TEST(DataParallel, ModelScalingPricesThePolicies)

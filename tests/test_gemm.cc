@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -151,7 +155,8 @@ INSTANTIATE_TEST_SUITE_P(
                           GemmCase{13, 1, 5}, GemmCase{1, 33, 5},
                           GemmCase{48, 64, 32}, GemmCase{65, 129, 67},
                           GemmCase{128, 128, 300}, GemmCase{121, 257, 129},
-                          GemmCase{5, 300, 2}, GemmCase{300, 5, 2}),
+                          GemmCase{5, 300, 2}, GemmCase{300, 5, 2},
+                          GemmCase{125, 2053, 259}),
         ::testing::Values(0, 1), ::testing::Values(0, 1),
         ::testing::Values(false, true)),
     [](const auto &info) {
@@ -162,6 +167,150 @@ INSTANTIATE_TEST_SUITE_P(
         name += std::get<1>(info.param) ? "_tA" : "";
         name += std::get<2>(info.param) ? "_tB" : "";
         name += std::get<3>(info.param) ? "_par" : "_seq";
+        return name;
+    });
+
+/** The transpose of a row-major matrix, as a row-major matrix. */
+Tensor
+transposed(const Tensor &x)
+{
+    std::int64_t rows = x.shape()[0], cols = x.shape()[1];
+    Tensor t(Shape{cols, rows});
+    for (std::int64_t i = 0; i < rows; ++i)
+        for (std::int64_t j = 0; j < cols; ++j)
+            t.at(j, i) = x.at(i, j);
+    return t;
+}
+
+/** x with every row padded by `pad` NaN columns (leading dim widened). */
+Tensor
+padded(const Tensor &x, std::int64_t pad)
+{
+    std::int64_t rows = x.shape()[0], cols = x.shape()[1];
+    Tensor p(Shape{rows, cols + pad});
+    p.fill(std::numeric_limits<float>::quiet_NaN());
+    for (std::int64_t i = 0; i < rows; ++i)
+        for (std::int64_t j = 0; j < cols; ++j)
+            p.at(i, j) = x.at(i, j);
+    return p;
+}
+
+/** Bit-for-bit equality; unlike maxAbsDiff, a NaN anywhere fails it. */
+bool
+sameBits(const Tensor &x, const Tensor &y)
+{
+    return x.shape() == y.shape() &&
+           std::memcmp(x.data(), y.data(),
+                       static_cast<std::size_t>(x.size()) * sizeof(float)) ==
+               0;
+}
+
+/**
+ * sgemm packs op(A) (alpha baked in) and op(B) into micro-panels on
+ * every call, so the panels, and with them every output bit, must not
+ * depend on how the caller stores the operands. PackedGemm holds the
+ * result on contiguous operands against the same operands handed in
+ * unpacked layouts: rows padded past their width, stored in the other
+ * order behind the opposite Trans flag, and cut into the row or column
+ * slabs parallelGemm gives its workers. Sizes are deliberately odd:
+ * none a multiple of kGemmMr/kGemmNr/kGemmKc, plus shapes straddling
+ * the kMc/kKc/kNc block boundaries.
+ */
+struct PackedCase
+{
+    std::int64_t m, n, k;
+};
+
+const PackedCase kPackedCases[] = {
+    {1, 1, 1},     {5, 7, 3},      {7, 17, 9},    {13, 31, 29},
+    {6, 32, 256},  {121, 257, 129}, {125, 2053, 259},
+};
+
+class PackedGemm
+    : public ::testing::TestWithParam<std::tuple<int, int, int, float>>
+{
+  protected:
+    PackedCase shape() const
+    {
+        return kPackedCases[std::get<0>(GetParam())];
+    }
+    Trans ta() const
+    {
+        return std::get<1>(GetParam()) ? Trans::Yes : Trans::No;
+    }
+    Trans tb() const
+    {
+        return std::get<2>(GetParam()) ? Trans::Yes : Trans::No;
+    }
+    float beta() const { return std::get<3>(GetParam()); }
+};
+
+Trans
+flipped(Trans t)
+{
+    return t == Trans::No ? Trans::Yes : Trans::No;
+}
+
+TEST_P(PackedGemm, MatchesUnpackedBitForBitAndNaive)
+{
+    auto [m, n, k] = shape();
+    float alpha = 0.75f;
+    std::int64_t lda = ta() == Trans::No ? k : m;
+    std::int64_t ldb = tb() == Trans::No ? n : k;
+    Tensor a = randomMatrix(ta() == Trans::No ? m : k, lda, 21 + m);
+    Tensor b = randomMatrix(tb() == Trans::No ? k : n, ldb, 22 + n);
+    Tensor c0 = randomMatrix(m, n, 23 + k);
+
+    Tensor c_plain = c0.clone();
+    sgemm(ta(), tb(), m, n, k, alpha, a.data(), lda, b.data(), ldb,
+          beta(), c_plain.data(), n);
+
+    Tensor c_naive = c0.clone();
+    gemmNaive(ta(), tb(), m, n, k, alpha, a.data(), lda, b.data(), ldb,
+              beta(), c_naive.data(), n);
+
+    // Padding lanes are NaN: a pack that read past a row would poison C.
+    const std::int64_t pad = 5;
+    Tensor a_pad = padded(a, pad);
+    Tensor b_pad = padded(b, pad);
+    Tensor c_pad = c0.clone();
+    sgemm(ta(), tb(), m, n, k, alpha, a_pad.data(), lda + pad,
+          b_pad.data(), ldb + pad, beta(), c_pad.data(), n);
+    EXPECT_TRUE(sameBits(c_plain, c_pad)) << "padded rows";
+
+    Tensor a_t = transposed(a);
+    Tensor b_t = transposed(b);
+    Tensor c_t = c0.clone();
+    sgemm(flipped(ta()), flipped(tb()), m, n, k, alpha, a_t.data(),
+          a.shape()[0], b_t.data(), b.shape()[0], beta(), c_t.data(), n);
+    EXPECT_TRUE(sameBits(c_plain, c_t)) << "other storage order";
+
+    ThreadPool pool(3);
+    Tensor c_par = c0.clone();
+    parallelGemm(pool, ta(), tb(), m, n, k, alpha, a.data(), lda,
+                 b.data(), ldb, beta(), c_par.data(), n);
+    EXPECT_TRUE(sameBits(c_plain, c_par)) << "parallel slabs";
+
+    float tol = 1e-3f * static_cast<float>(k) / 64.0f + 1e-4f;
+    EXPECT_LT(maxAbsDiff(c_naive, c_plain), tol) << "vs naive";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PackedGemm,
+    ::testing::Combine(
+        ::testing::Range(0,
+                         static_cast<int>(std::size(kPackedCases))),
+        ::testing::Values(0, 1), ::testing::Values(0, 1),
+        ::testing::Values(0.0f, 1.0f, 0.5f)),
+    [](const auto &info) {
+        const PackedCase &shape = kPackedCases[std::get<0>(info.param)];
+        std::string name = "m" + std::to_string(shape.m) + "n" +
+                           std::to_string(shape.n) + "k" +
+                           std::to_string(shape.k);
+        name += std::get<1>(info.param) ? "_tA" : "";
+        name += std::get<2>(info.param) ? "_tB" : "";
+        float beta = std::get<3>(info.param);
+        name += beta == 0.0f ? "_b0" : beta == 1.0f ? "_b1" : "_bhalf";
         return name;
     });
 

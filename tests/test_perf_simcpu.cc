@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "data/suites.hh"
 #include "perf/region.hh"
 #include "perf/roofline.hh"
@@ -432,7 +436,16 @@ TEST(ConvModel, Fig8ShapeInvariants)
 TEST(ConvModel, HostCalibratedModelIsSelfConsistent)
 {
     MachineModel host = MachineModel::hostCalibrated(29.0);
-    EXPECT_EQ(host.physical_cores, 1);
+    // One modeled core per CPU the process may run on.
+    int cpus = 1;
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+    cpus = CPU_COUNT(&set);
+#endif
+    EXPECT_EQ(host.physical_cores, cpus);
+    EXPECT_EQ(host.logical_cores, cpus);
     // A large square GEMM should be predicted near the calibrated rate.
     SimResult r = modelGemmInParallelMm(host, 1024, 1024, 1024, 1, 1);
     EXPECT_NEAR(r.gflopsPerCore(), 29.0, 29.0 * 0.15);

@@ -10,7 +10,7 @@
 #include <tuple>
 
 #include "conv/engines.hh"
-#include "conv/packed_weights.hh"
+#include "conv/weight_plans.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
 #include "util/timer.hh"
@@ -58,7 +58,7 @@ TEST_P(SparseWeightsSweep, MatchesReference)
     engine->forward(s, in, w, got, pool);
     EXPECT_TRUE(allClose(got, ref, 1e-3f, 1e-4f))
         << "maxdiff=" << maxAbsDiff(got, ref);
-    PackedWeightCache::global().invalidate(w.data());
+    WeightPlanCache::global().invalidate(w.data());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -153,18 +153,13 @@ template <typename Fn>
 std::int64_t
 encodesDuring(Fn &&fn)
 {
-    auto before = PackedWeightCache::global().sparseStats();
+    auto before = WeightPlanCache::global().stats();
     fn();
-    auto after = PackedWeightCache::global().sparseStats();
+    auto after = WeightPlanCache::global().stats();
     return after.encodes - before.encodes;
 }
 
-class WeightPlanCacheTest
-    : public ::testing::TestWithParam<const char *>
-{
-};
-
-TEST_P(WeightPlanCacheTest, EncodesOncePerWeightVersion)
+TEST(WeightPlanCacheTest, EncodesOncePerWeightVersion)
 {
     // Regression for the per-call re-encode bug: repeated forwards on
     // the same weight version must reuse the cached CSR plan; only a
@@ -179,9 +174,9 @@ TEST_P(WeightPlanCacheTest, EncodesOncePerWeightVersion)
     w.sparsify(rng, 0.5);
     Tensor out(Shape{1, s.nf, s.outY(), s.outX()});
 
-    auto engine = makeEngine(GetParam());
+    auto engine = makeEngine("sparse-weights-direct");
     ASSERT_NE(engine, nullptr);
-    PackedWeightCache::global().invalidate(w.data());
+    WeightPlanCache::global().invalidate(w.data());
 
     EXPECT_EQ(encodesDuring([&] {
                   for (int i = 0; i < 4; ++i)
@@ -191,7 +186,7 @@ TEST_P(WeightPlanCacheTest, EncodesOncePerWeightVersion)
 
     // A weight update invalidates the plan: exactly one re-encode.
     w.data()[0] += 1.0f;
-    PackedWeightCache::global().invalidate(w.data());
+    WeightPlanCache::global().invalidate(w.data());
     EXPECT_EQ(encodesDuring([&] {
                   engine->forward(s, in, w, out, pool);
                   engine->forward(s, in, w, out, pool);
@@ -205,12 +200,8 @@ TEST_P(WeightPlanCacheTest, EncodesOncePerWeightVersion)
                   engine->forward(s, in, w, out, pool);
               }),
               1);
-    PackedWeightCache::global().invalidate(w.data());
+    WeightPlanCache::global().invalidate(w.data());
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, WeightPlanCacheTest,
-                         ::testing::Values("sparse-weights-direct"),
-                         [](const auto &) { return "direct"; });
 
 TEST(SparseWeights, AllZeroWeightsGiveZeroOutput)
 {
@@ -227,7 +218,7 @@ TEST(SparseWeights, AllZeroWeightsGiveZeroOutput)
         out.fill(7.0f);
         SparseDirectFpEngine().forward(s, in, w, out, pool);
         EXPECT_EQ(out.maxAbs(), 0.0f) << s.str();
-        PackedWeightCache::global().invalidate(w.data());
+        WeightPlanCache::global().invalidate(w.data());
     }
 }
 

@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "blas/gemm.hh"
 #include "conv/engines.hh"
 #include "threading/thread_pool.hh"
 #include "util/random.hh"
@@ -83,62 +82,6 @@ TEST(ThreadPoolStress, EngineScratchSurvivesPoolChurn)
         Tensor out(Shape{2, spec.nf, spec.outY(), spec.outX()});
         engine->forward(spec, in, w, out, pool);
         ASSERT_TRUE(allClose(out, want, 1e-3f, 1e-4f)) << round;
-    }
-}
-
-TEST(ThreadPoolStress, SharedPackedWeightsAcrossManyWorkers)
-{
-    // Read-only sharing of ONE packed weight buffer is the whole point
-    // of GEMM-in-Parallel: many workers concurrently run sgemmPackedB
-    // (and sgemmPackedA) against the same PackedMatrix, each against a
-    // different B/C; every result must match the sequential answer.
-    std::int64_t m = 23, n = 35, k = 67;
-    Rng rng(17);
-    Tensor a(Shape{m, k});
-    a.fillUniform(rng);
-    PackedMatrix pa =
-        PackedMatrix::packA(Trans::No, m, k, 1.0f, a.data(), k);
-    Tensor bshared(Shape{k, n});
-    bshared.fillUniform(rng);
-    PackedMatrix pb =
-        PackedMatrix::packB(Trans::No, k, n, bshared.data(), n);
-
-    constexpr int kJobs = 64;
-    std::vector<Tensor> bs, as, want_a, want_b;
-    for (int j = 0; j < kJobs; ++j) {
-        // Per-job B against the one shared packed A...
-        bs.emplace_back(Shape{k, n});
-        bs.back().fillUniform(rng);
-        want_a.emplace_back(Shape{m, n});
-        sgemmPackedA(pa, Trans::No, n, bs.back().data(), n, 0.0f,
-                     want_a.back().data(), n);
-        // ...and per-job A against the one shared packed B.
-        as.emplace_back(Shape{m, k});
-        as.back().fillUniform(rng);
-        want_b.emplace_back(Shape{m, n});
-        sgemmPackedB(Trans::No, m, 1.0f, as.back().data(), k, pb, 0.0f,
-                     want_b.back().data(), n);
-    }
-
-    ThreadPool pool(8);
-    for (int round = 0; round < 5; ++round) {
-        std::vector<Tensor> got_a, got_b;
-        for (int j = 0; j < kJobs; ++j) {
-            got_a.emplace_back(Shape{m, n});
-            got_b.emplace_back(Shape{m, n});
-        }
-        pool.parallelForDynamic(kJobs, [&](std::int64_t j, int) {
-            sgemmPackedA(pa, Trans::No, n, bs[j].data(), n, 0.0f,
-                         got_a[j].data(), n);
-            sgemmPackedB(Trans::No, m, 1.0f, as[j].data(), k, pb, 0.0f,
-                         got_b[j].data(), n);
-        });
-        for (int j = 0; j < kJobs; ++j) {
-            ASSERT_EQ(maxAbsDiff(got_a[j], want_a[j]), 0.0f)
-                << "packedA round=" << round << " job=" << j;
-            ASSERT_EQ(maxAbsDiff(got_b[j], want_b[j]), 0.0f)
-                << "packedB round=" << round << " job=" << j;
-        }
     }
 }
 

@@ -5,14 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <numeric>
 #include <tuple>
 
-#include "blas/gemm.hh"
 #include "conv/unfold.hh"
 #include "tensor/tensor.hh"
-#include "util/aligned.hh"
 #include "util/random.hh"
 
 namespace spg {
@@ -89,34 +86,6 @@ TEST_P(UnfoldGeometries, FoldAccumulates)
     foldImageAccumulate(spec, u.data(), twice.data());
     for (std::int64_t i = 0; i < once.size(); ++i)
         ASSERT_NEAR(twice[i], 2 * once[i], 1e-4f);
-}
-
-TEST_P(UnfoldGeometries, FusedPanelsMatchUnfoldThenPack)
-{
-    // unfoldImageToPanels must be byte-identical to the two-step
-    // unfold + packMatrixBInto, padding included, so a viewB over its
-    // output is interchangeable with a packed dense unfold.
-    const ConvSpec &spec = GetParam();
-    Rng rng(33);
-    Tensor in(Shape{spec.nc, spec.ny, spec.nx});
-    in.fillUniform(rng);
-    std::int64_t k = spec.gemmK(), n = spec.gemmN();
-
-    Tensor u(Shape{k, n});
-    unfoldImage(spec, in.data(), u.data());
-    AlignedBuffer<float> two_step(PackedMatrix::panelElemsB(k, n));
-    packMatrixBInto(Trans::No, k, n, u.data(), n, two_step.data());
-
-    AlignedBuffer<float> fused(PackedMatrix::panelElemsB(k, n));
-    // Poison so missed pad columns cannot pass by luck of zero-init.
-    for (std::size_t i = 0; i < fused.size(); ++i)
-        fused.data()[i] = -1234.5f;
-    unfoldImageToPanels(spec, in.data(), fused.data());
-
-    EXPECT_EQ(std::memcmp(two_step.data(), fused.data(),
-                          fused.size() * sizeof(float)),
-              0)
-        << spec.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the util substrate: aligned buffers, PRNG, tables, CLI.
+ * Tests for the util substrate: aligned buffers, PRNG, tables, CLI,
+ * content fingerprints.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -13,6 +15,7 @@
 
 #include "util/aligned.hh"
 #include "util/cli.hh"
+#include "util/fingerprint.hh"
 #include "util/random.hh"
 #include "util/table.hh"
 #include "util/timer.hh"
@@ -100,6 +103,32 @@ TEST(Rng, BernoulliFrequency)
     for (int i = 0; i < 10000; ++i)
         hits += rng.bernoulli(0.3);
     EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
+}
+
+TEST(Fingerprint, EveryByteFeedsTheHash)
+{
+    // Lengths 0-97 cover zero to three whole 32-byte blocks with every
+    // byte-tail length. Flipping any single byte must change the hash,
+    // and the same bytes at another (unaligned) address hash equal.
+    Rng rng(4);
+    for (std::size_t n = 0; n <= 97; ++n) {
+        std::vector<unsigned char> bytes(n);
+        for (auto &b : bytes)
+            b = static_cast<unsigned char>(rng.below(256));
+        const std::uint64_t h = fingerprintBytes(bytes.data(), n);
+
+        std::vector<unsigned char> shifted(n + 1);
+        if (n > 0)
+            std::memcpy(shifted.data() + 1, bytes.data(), n);
+        EXPECT_EQ(fingerprintBytes(shifted.data() + 1, n), h) << n;
+
+        for (std::size_t i = 0; i < n; ++i) {
+            bytes[i] ^= 0xff;
+            EXPECT_NE(fingerprintBytes(bytes.data(), n), h)
+                << "length " << n << ", byte " << i;
+            bytes[i] ^= 0xff;
+        }
+    }
 }
 
 TEST(Table, RendersAllRows)

@@ -61,82 +61,58 @@ if [[ $# -eq 0 ]] && grep -q '^SPG_TRACING:BOOL=ON$' CMakeCache.txt; then
         --min-lanes=2 --expect-drift
 fi
 
-# Bench regression gate: regenerate the fusion bench (reduced reps so
-# the gate stays fast) and diff it against the committed baseline.
-# Timing tolerance is wide — shared hosts drift — so only structural
-# regressions fail: a fusion path losing its speedup outright, or the
-# arena planner degrading toward the unplanned sum. Skipped when a test
-# filter was passed.
+# Bench regression gates: regenerate each bench below (reduced sizes so
+# the gates stay fast) and diff it against its committed baseline in
+# bench/baselines/ with tools/bench_compare. Skipped when a test filter
+# was passed. Why each row's tolerances are what they are:
+#
+# fusion: timing tolerance is wide — shared hosts drift — so only
+#   structural regressions fail: a fusion path losing its speedup
+#   outright, or the arena planner degrading toward the unplanned sum.
+# layout: the NCHWc direct-engine crossover. The direct-vs-best
+#   speedups are ratios of interleaved (round-robin) measurements so
+#   frequency drift largely cancels, but the winnable FP cells sit
+#   within a few percent of the best GEMM engine, so the speedup
+#   tolerance stays wide; the seconds tolerance is wider still because
+#   the µs-scale conversion timings at the smallest layer jitter more
+#   than the big phase timings.
+# wsparse: the CSR-weights crossover. The direct-vs-dense speedups are
+#   ratios of interleaved measurements so drift largely cancels, but the
+#   dense-engine cells run a different code path from the sparse one,
+#   so the seconds tolerance stays wide. The encode_ms cells are
+#   informational (µs-scale, jittery) and are not gated.
+# serve: open-loop serving goodput. Only the dynamic-batching speedup at
+#   saturation is gated (wide tolerance — it is a ratio of two drain
+#   timings on a shared host); the qps/goodput/latency series and the
+#   per-bucket serving plans are informational trajectory. The loadgen
+#   smoke (fixed seed, low rate, zero drops, bounded p99) runs as a
+#   ctest fixture above.
+# cluster: data-parallel scaling. The gated metrics are the modeled
+#   speedups — sparse+overlap vs dense blocking at the gate worker
+#   count, and the per-point scaling curve. They derive from one
+#   measured profile, so compute jitter moves every arm together and the
+#   ratios are stable; the tolerance is still wide because a short
+#   run's per-bucket ready times wander. The wire-byte/compression/knee
+#   columns are informational trajectory.
+bench_gates=(
+    # bench            | args                                         | baseline           | bench_compare flags
+    "bench_fusion      | --reps=3 --net-steps=2                       | BENCH_fusion.json  | --tol-pct=150 --speedup-tol-pct=60 --bytes-tol-pct=10"
+    "bench_layout      | --reps=2                                     | BENCH_layout.json  | --tol-pct=250 --speedup-tol-pct=60"
+    "bench_ext_wsparse | --reps=2                                     | BENCH_wsparse.json | --tol-pct=250 --speedup-tol-pct=60"
+    "bench_serve       | --requests=256 --duration=0.2 --tuner-reps=2 | BENCH_serve.json   | --tol-pct=250 --speedup-tol-pct=60"
+    "bench_ext_cluster | --dataset-size=32                            | BENCH_cluster.json | --tol-pct=250 --speedup-tol-pct=70"
+)
 if [[ $# -eq 0 ]]; then
-    ./bench/bench_fusion --reps=3 --net-steps=2 \
-        --json-file="$PWD/BENCH_fusion_fresh.json" > /dev/null
-    ./tools/bench_compare --fresh="$PWD/BENCH_fusion_fresh.json" \
-        --baseline=../bench/baselines/BENCH_fusion.json \
-        --tol-pct=150 --speedup-tol-pct=60 --bytes-tol-pct=10
-fi
-
-# Layout crossover gate: regenerate the NCHWc direct-engine bench and
-# diff it against the committed baseline. The direct-vs-best speedups
-# are ratios of interleaved (round-robin) measurements so frequency
-# drift largely cancels, but the winnable FP cells sit within a few
-# percent of the best GEMM engine, so the speedup tolerance stays wide;
-# the seconds tolerance is wider still because the µs-scale conversion
-# timings at the smallest layer jitter more than the big phase timings.
-# Skipped when a test filter was passed.
-if [[ $# -eq 0 ]]; then
-    ./bench/bench_layout --reps=2 \
-        --json-file="$PWD/BENCH_layout_fresh.json" > /dev/null
-    ./tools/bench_compare --fresh="$PWD/BENCH_layout_fresh.json" \
-        --baseline=../bench/baselines/BENCH_layout.json \
-        --tol-pct=250 --speedup-tol-pct=60
-fi
-
-# Weight-sparsity crossover gate: regenerate the CSR-weights bench and
-# diff it against the committed baseline. The direct-vs-dense speedups
-# are ratios of interleaved measurements so drift largely cancels, but
-# the dense-engine cells run a different code path from the sparse
-# one, so the seconds tolerance stays wide. The encode_ms cells are
-# informational (µs-scale, jittery) and are not gated. Skipped when a
-# test filter was passed.
-if [[ $# -eq 0 ]]; then
-    ./bench/bench_ext_wsparse --reps=2 \
-        --json-file="$PWD/BENCH_wsparse_fresh.json" > /dev/null
-    ./tools/bench_compare --fresh="$PWD/BENCH_wsparse_fresh.json" \
-        --baseline=../bench/baselines/BENCH_wsparse.json \
-        --tol-pct=250 --speedup-tol-pct=60
-fi
-
-# Serving goodput gate: regenerate the open-loop serving bench
-# (reduced request count / window so the gate stays fast) and diff it
-# against the committed baseline. Only the dynamic-batching speedup at
-# saturation is gated (wide tolerance — it is a ratio of two drain
-# timings on a shared host); the qps/goodput/latency series and the
-# per-bucket serving plans are informational trajectory. The loadgen
-# smoke (fixed seed, low rate, zero drops, bounded p99) runs as a
-# ctest fixture above. Skipped when a test filter was passed.
-if [[ $# -eq 0 ]]; then
-    ./bench/bench_serve --requests=256 --duration=0.2 --tuner-reps=2 \
-        --json-file="$PWD/BENCH_serve_fresh.json" > /dev/null
-    ./tools/bench_compare --fresh="$PWD/BENCH_serve_fresh.json" \
-        --baseline=../bench/baselines/BENCH_serve.json \
-        --tol-pct=250 --speedup-tol-pct=60
-fi
-
-# Cluster scaling gate: regenerate the data-parallel scaling bench
-# (smaller measured run so the gate stays fast) and diff it against
-# the committed baseline. The gated metrics are the modeled speedups —
-# sparse+overlap vs dense blocking at the gate worker count, and the
-# per-point scaling curve. They derive from one measured profile, so
-# compute jitter moves every arm together and the ratios are stable;
-# the tolerance is still wide because a short run's per-bucket ready
-# times wander. The wire-byte/compression/knee columns are
-# informational trajectory. Skipped when a test filter was passed.
-if [[ $# -eq 0 ]]; then
-    ./bench/bench_ext_cluster --dataset-size=32 \
-        --json-file="$PWD/BENCH_cluster_fresh.json" > /dev/null
-    ./tools/bench_compare --fresh="$PWD/BENCH_cluster_fresh.json" \
-        --baseline=../bench/baselines/BENCH_cluster.json \
-        --tol-pct=250 --speedup-tol-pct=70
+    for row in "${bench_gates[@]}"; do
+        IFS='|' read -r bench args baseline flags <<< "$row"
+        bench=${bench// /}
+        baseline=${baseline// /}
+        fresh="$PWD/${baseline%.json}_fresh.json"
+        # args and flags stay unquoted: each is a list of words.
+        ./bench/$bench $args --json-file="$fresh" > /dev/null
+        ./tools/bench_compare --fresh="$fresh" \
+            --baseline="../bench/baselines/$baseline" $flags
+    done
 fi
 
 # Layout/direct-engine sanitizer gate: the NCHWc conversion kernels and
@@ -146,7 +122,7 @@ fi
 # pad-lane reads and conversion races are caught in-tree. The CSR
 # weight-sparsity suites ride along: the sparse-direct masked tails and
 # the pruning/mask/checkpoint machinery are exactly the sort of
-# off-by-one indexing ASan catches, and the PackedWeightCache is shared
+# off-by-one indexing ASan catches, and the weight-plan cache is shared
 # mutable state the TSan run must prove race-free under the
 # plane-parallel engines. The Determinism suite rides along too: its
 # pool-size sweep drives every engine's chunked BP-weights reduction
