@@ -16,9 +16,11 @@
 #ifndef SPG_BENCH_COMMON_HH
 #define SPG_BENCH_COMMON_HH
 
+#include <chrono>
 #include <string>
 
 #include "simcpu/conv_model.hh"
+#include "threading/thread_pool.hh"
 #include "util/cli.hh"
 #include "util/table.hh"
 
@@ -50,6 +52,26 @@ emit(const CliParser &cli, const TablePrinter &table)
     std::string path = cli.getString("csv-file");
     if (!path.empty())
         table.writeCsv(path);
+}
+
+/**
+ * Keep every participant of @p pool busy for about 2 s. After an idle
+ * spell, a host can run the first second or so of multi-threaded work
+ * at a fraction of its settled speed; a bench whose first timed cells
+ * are short calls this before them so they do not time that ramp.
+ */
+inline void
+warmHost(ThreadPool &pool)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    pool.parallelFor(pool.threads(), [&](std::int64_t, std::int64_t,
+                                         int) {
+        volatile double x = 1.0;
+        while (std::chrono::steady_clock::now() < deadline)
+            for (int i = 0; i < 1000; ++i)
+                x = x * 1.0000001 + 1e-9;
+    });
 }
 
 } // namespace spg

@@ -1,8 +1,8 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks of the computational primitives
- * every figure rests on: the blocked SGEMM, the sparse AXPY, the
- * stencil basic blocks, im2col unfolding and the CT-CSR build.
+ * every figure rests on: the blocked SGEMM, the sparse AXPY, im2col
+ * unfolding and the CT-CSR build.
  *
  * These are throughput microbenches (not figure reproductions); they
  * are the numbers to watch when porting the kernels to new hardware.
@@ -94,28 +94,6 @@ BM_Unfold(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Unfold);
-
-void
-BM_StencilForward(benchmark::State &state)
-{
-    ConvSpec spec{36, 36, 3, 64, 5, 5, 1, 1};  // CIFAR L0
-    ThreadPool pool(1);
-    Tensor in(Shape{1, spec.nc, spec.ny, spec.nx});
-    Tensor w(Shape{spec.nf, spec.nc, spec.fy, spec.fx});
-    Tensor out(Shape{1, spec.nf, spec.outY(), spec.outX()});
-    Rng rng(5);
-    in.fillUniform(rng);
-    w.fillUniform(rng);
-    StencilEngine engine;
-    for (auto _ : state) {
-        engine.forward(spec, in, w, out, pool);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.counters["GFlops"] = benchmark::Counter(
-        static_cast<double>(state.iterations()) * spec.flops() * 1e-9,
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_StencilForward);
 
 void
 BM_CtCsrBuild(benchmark::State &state)

@@ -151,6 +151,7 @@ main(int argc, char **argv)
 
     if (!DirectEngine::blockedLayoutSupported())
         inform("note: no AVX2+FMA — direct runs its portable fallback");
+    warmHost(pool);
 
     const Phase kPhases[] = {Phase::Forward, Phase::BackwardData,
                              Phase::BackwardWeights};

@@ -2,7 +2,7 @@
  * @file
  * End-to-end CIFAR-10 training — the workload of the paper's Fig. 9 —
  * comparing the baseline Unfold+Parallel-GEMM configuration against
- * the full spg-CNN configuration (Stencil FP + Sparse BP with
+ * the full spg-CNN configuration (direct FP + Sparse BP with
  * autotuned fallbacks) on this machine.
  *
  * The network is the paper's Table 2 CIFAR-10 stack (3x36x36 input,
@@ -76,15 +76,14 @@ main(int argc, char **argv)
                               "parallel-gemm"};
     EngineAssignment gip{"gemm-in-parallel", "gemm-in-parallel",
                          "gemm-in-parallel"};
-    EngineAssignment spg{"stencil", "sparse", "sparse"};
+    EngineAssignment spg{"direct", "sparse", "sparse"};
 
     double base =
         trainOnce("Unfold+Parallel-GEMM", dataset, options, &baseline,
                   pool);
     trainOnce("GEMM-in-Parallel", dataset, options, &gip, pool);
     double best =
-        trainOnce("Stencil FP + Sparse BP", dataset, options, &spg,
-                  pool);
+        trainOnce("Direct FP + Sparse BP", dataset, options, &spg, pool);
     double tuned =
         trainOnce("spg-CNN autotuned", dataset, options, nullptr, pool);
 

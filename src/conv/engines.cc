@@ -8,7 +8,6 @@ makeEngines()
     std::vector<std::unique_ptr<ConvEngine>> engines;
     engines.push_back(std::make_unique<UnfoldGemmEngine>());
     engines.push_back(std::make_unique<GemmInParallelEngine>());
-    engines.push_back(std::make_unique<StencilEngine>());
     engines.push_back(std::make_unique<DirectEngine>());
     engines.push_back(std::make_unique<SparseBpEngine>());
     engines.push_back(std::make_unique<WinogradEngine>());

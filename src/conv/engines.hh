@@ -14,17 +14,16 @@
 #include "conv/engine_gemm.hh"
 #include "conv/engine_sparse.hh"
 #include "conv/engine_sparse_direct.hh"
-#include "conv/engine_stencil.hh"
 #include "conv/engine_winograd.hh"
 
 namespace spg {
 
 /**
  * @return one instance of every production engine (the reference
- * oracle excluded): parallel-gemm, gemm-in-parallel, stencil,
- * direct, sparse, winograd and sparse-weights-direct. Each engine's
- * supports() and appliesTo() say where it is a candidate; the tuner
- * measures exactly those.
+ * oracle excluded): parallel-gemm, gemm-in-parallel, direct, sparse,
+ * winograd and sparse-weights-direct. Each engine's supports() and
+ * appliesTo() say where it is a candidate; the tuner measures exactly
+ * those.
  */
 std::vector<std::unique_ptr<ConvEngine>> makeEngines();
 

@@ -59,17 +59,16 @@ enum ScratchSlot
     kSlotLayoutA = 2,      ///< layout-transform staging A
     kSlotLayoutB = 3,      ///< layout-transform staging B
     kSlotLayoutC = 4,      ///< layout-transform staging C
-    kSlotStencilIn = 5,    ///< strided-split input planes
-    kSlotMaskedEo = 6,     ///< ReLU-masked copy of one image's errors
+    kSlotMaskedEo = 5,     ///< ReLU-masked copy of one image's errors
     // Direct NCHWc engine. The batch-wide staging slots (In / Weights /
     // Out) are taken from the DISPATCHING thread's arena and shared
     // read-only (or disjointly written) by the workers inside one
     // fork-join region; kSlotDirectDw is a genuinely per-thread
     // gradient tile.
-    kSlotDirectIn = 7,      ///< blocked input / staged (masked) errors
-    kSlotDirectWeights = 8, ///< KCRSck or BP-gather blocked weights
-    kSlotDirectOut = 9,     ///< blocked output / input-error staging
-    kSlotDirectDw = 10      ///< one task's [fx][8][8] gradient tile
+    kSlotDirectIn = 6,      ///< blocked input / staged (masked) errors
+    kSlotDirectWeights = 7, ///< KCRSck or BP-gather blocked weights
+    kSlotDirectOut = 8,     ///< blocked output / input-error staging
+    kSlotDirectDw = 9       ///< one task's [fx][8][8] gradient tile
 };
 
 } // namespace spg

@@ -150,7 +150,7 @@ class ConvLayer : public Layer
     double last_eo_sparsity = 0;
     PhaseProfile profile_;
     std::map<std::string, std::unique_ptr<ConvEngine>> engine_cache;
-    /** Interned trace span names ("conv1 FP [stencil]"), refreshed on
+    /** Interned trace span names ("conv1 FP [direct]"), refreshed on
      *  setEngines so spans carry the deployed engine. */
     const char *span_fp = nullptr;
     const char *span_bp_data = nullptr;

@@ -170,7 +170,9 @@ DriftReport::toJson() const
     out += "\n  },\n  \"samples\": [";
     first = true;
     for (const DriftSample &s : rows) {
-        char buf[96];
+        // Worst case: the traffic row's 62 literal characters plus
+        // three %.6g fields of up to 13 ("-1.23457e+100") and the NUL.
+        char buf[128];
         out += first ? "\n    " : ",\n    ";
         first = false;
         out += "{\"label\": \"" + s.label + "\", \"phase\": \"" +

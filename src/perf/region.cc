@@ -36,7 +36,7 @@ recommendTechniques(const ConvSpec &spec, double sparsity,
     if (spec.nf >= thresholds.high_feature_count)
         choice.fp = "parallel-gemm";
     else if (spec.nf < thresholds.low_feature_count)
-        choice.fp = "stencil";
+        choice.fp = "direct";
     else
         choice.fp = "gemm-in-parallel";
 

@@ -16,8 +16,11 @@
  *
  * The AIT axis is proxied by the output feature count (the paper notes
  * AIT of the unfolded MM ~ 2 x Nf): >= 1024 features is "high"
- * (Parallel-GEMM scales), < 128 features is "low" (stencil wins) —
- * the §4.4 deployment thresholds.
+ * (Parallel-GEMM scales), < 128 features is "low" (the paper's
+ * Stencil-Kernel wins) — the §4.4 deployment thresholds. The
+ * Stencil-Kernel's deployable engine is "direct", the register-tiled
+ * direct convolution; simcpu's "stencil" model prices the paper's own
+ * kernel.
  */
 
 #ifndef SPG_PERF_REGION_HH
@@ -45,7 +48,7 @@ struct RegionThresholds
 {
     /** Nf at/above which Parallel-GEMM already scales ("high AIT"). */
     std::int64_t high_feature_count = 1024;
-    /** Nf below which the stencil kernel wins ("low AIT"). */
+    /** Nf below which direct convolution wins ("low AIT"). */
     std::int64_t low_feature_count = 128;
     /** Error sparsity at/above which the sparse BP kernel wins. */
     double sparse_threshold = 0.75;

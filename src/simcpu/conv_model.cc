@@ -148,8 +148,8 @@ bool
 hasConvModel(const std::string &engine)
 {
     return engine == "parallel-gemm" || engine == "gemm-in-parallel" ||
-           engine == "stencil" || engine == "direct" ||
-           engine == "sparse" || engine == "sparse-weights-direct";
+           engine == "direct" || engine == "sparse" ||
+           engine == "sparse-weights-direct";
 }
 
 SimResult
@@ -244,6 +244,8 @@ modelConvPhase(const MachineModel &machine, const ConvSpec &spec,
     }
 
     if (engine == "stencil") {
+        // The paper's Stencil-Kernel (§4.3) on the modeled machine: no
+        // engine implements it (direct is the deployable direct conv).
         SPG_ASSERT(phase == Phase::Forward);
         double in_bytes = kFloat * spec.inputElems();
         double out_plane = kFloat * spec.outY() * spec.outX();

@@ -62,6 +62,9 @@ SimResult modelGemmInParallelMm(const MachineModel &machine,
 /**
  * @return true when modelConvPhase() has a model for this engine:
  * every registry engine except winograd (and the reference oracle).
+ * These are the engines the drift joins can price. modelConvPhase()
+ * also prices "stencil", the paper's Stencil-Kernel, but that is a
+ * model of the paper's technique, not an engine, so it is not listed.
  */
 bool hasConvModel(const std::string &engine);
 
@@ -71,7 +74,11 @@ bool hasConvModel(const std::string &engine);
  * @param machine Modeled machine.
  * @param spec Layer geometry.
  * @param phase FP / BP-data / BP-weights.
- * @param engine Engine name; hasConvModel(engine) must hold.
+ * @param engine Engine name for which hasConvModel(engine) holds, or
+ *        "stencil": the paper's register-tiled Stencil-Kernel (§4.3,
+ *        FP only) as the paper ran it. No registry engine implements
+ *        it; the figure benches price it here, and "direct" is the
+ *        deployable direct convolution.
  * @param batch Minibatch size.
  * @param cores Active cores.
  * @param sparsity Fraction of zeros in the output-error gradients

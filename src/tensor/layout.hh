@@ -4,11 +4,9 @@
  *
  * The sparse BP kernel (paper §4.2) vectorizes along input channels and
  * therefore needs the weights and outputs channel-fastest and the error
- * gradients feature-fastest. The stencil FP kernel (paper §4.3) needs
- * the strided-x split of Eq. 21 so strided convolutions become unit-
- * stride vector loads. All transforms here are out-of-place, and each
- * has an exact inverse so the engines can restore the canonical
- * [channel][y][x] layout after computing.
+ * gradients feature-fastest. All transforms here are out-of-place,
+ * and each has an exact inverse so the engines can restore the
+ * canonical [channel][y][x] layout after computing.
  */
 
 #ifndef SPG_TENSOR_LAYOUT_HH
@@ -69,28 +67,6 @@ void weightsFromKernelRows(const float *src, std::int64_t nf,
                            std::int64_t nc, std::int64_t fy,
                            std::int64_t fx, std::int64_t pitch,
                            float *dst);
-
-/**
- * Strided-x data-layout split of Eq. 21 for one 2-D plane:
- * src[y][x] -> dst[y][s][x'] with s = x mod sx and x' = x / sx, so
- * that the elements a strided kernel touches become contiguous.
- *
- * The x extent is padded up to a multiple of sx; padding lanes are
- * zero-filled.
- *
- * @param src Source plane, row-major ny x nx.
- * @param ny Plane height.
- * @param nx Plane width.
- * @param sx Stride (>= 1).
- * @param dst Destination of size ny * sx * ceil(nx / sx).
- * @return the padded x' extent (ceil(nx / sx)).
- */
-std::int64_t stridedSplitX(const float *src, std::int64_t ny,
-                           std::int64_t nx, std::int64_t sx, float *dst);
-
-/** Inverse of stridedSplitX (drops the padding lanes). */
-void stridedMergeX(const float *src, std::int64_t ny, std::int64_t nx,
-                   std::int64_t sx, float *dst);
 
 } // namespace spg
 

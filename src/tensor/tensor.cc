@@ -214,8 +214,13 @@ maxAbsDiff(const Tensor &a, const Tensor &b)
         panic("maxAbsDiff shape mismatch: %s vs %s",
               a.shape().str().c_str(), b.shape().str().c_str());
     float best = 0.0f;
-    for (std::int64_t i = 0; i < a.size(); ++i)
-        best = std::max(best, std::fabs(a[i] - b[i]));
+    for (std::int64_t i = 0; i < a.size(); ++i) {
+        float diff = std::fabs(a[i] - b[i]);
+        // std::max would drop a NaN; any NaN difference is the answer.
+        if (std::isnan(diff))
+            return diff;
+        best = std::max(best, diff);
+    }
     return best;
 }
 
@@ -226,7 +231,8 @@ allClose(const Tensor &a, const Tensor &b, float rel_tol, float abs_tol)
         return false;
     for (std::int64_t i = 0; i < a.size(); ++i) {
         float tol = abs_tol + rel_tol * std::fabs(b[i]);
-        if (std::fabs(a[i] - b[i]) > tol)
+        // Negated so a NaN on either side fails.
+        if (!(std::fabs(a[i] - b[i]) <= tol))
             return false;
     }
     return true;

@@ -236,13 +236,15 @@ class Tensor
 
 /**
  * @return the largest absolute elementwise difference between two
- * tensors of identical shape; panics on shape mismatch.
+ * tensors of identical shape, or NaN when any difference is NaN;
+ * panics on shape mismatch.
  */
 float maxAbsDiff(const Tensor &a, const Tensor &b);
 
 /**
  * @return true when every element of @p a is within @p abs_tol plus
- * @p rel_tol * |b| of the corresponding element of @p b.
+ * @p rel_tol * |b| of the corresponding element of @p b; a NaN on
+ * either side is never close.
  */
 bool allClose(const Tensor &a, const Tensor &b, float rel_tol = 1e-4f,
               float abs_tol = 1e-5f);

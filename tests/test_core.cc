@@ -91,14 +91,13 @@ TEST(Tuner, PicksSupportedEnginesForEveryPhase)
     EXPECT_FALSE(plan.fp_engine.empty());
     EXPECT_FALSE(plan.bp_data_engine.empty());
     EXPECT_FALSE(plan.bp_weights_engine.empty());
-    EXPECT_NE(plan.fp_engine, "sparse");       // sparse is BP-only
-    EXPECT_NE(plan.bp_data_engine, "stencil"); // stencil is FP-only
+    EXPECT_NE(plan.fp_engine, "sparse");  // sparse is BP-only
     EXPECT_DOUBLE_EQ(plan.tuned_sparsity, 0.9);
 
-    // FP candidates: parallel-gemm, gemm-in-parallel, stencil, direct,
-    // and (3x3 stride 1) winograd; the CSR-weights engine sits out on
-    // an unpruned layer.
-    EXPECT_EQ(plan.timings.at(Phase::Forward).size(), 5u);
+    // FP candidates: parallel-gemm, gemm-in-parallel, direct, and
+    // (3x3 stride 1) winograd; the CSR-weights engine sits out on an
+    // unpruned layer.
+    EXPECT_EQ(plan.timings.at(Phase::Forward).size(), 4u);
     // BP candidates: parallel-gemm, gemm-in-parallel, direct, and
     // sparse.
     EXPECT_EQ(plan.timings.at(Phase::BackwardData).size(), 4u);
@@ -201,8 +200,7 @@ TEST(Tuner, RecordsScheduleTelemetry)
             // batch, so their measurements must record a schedule;
             // parallel-gemm may run a tiny MM without the pool.
             if (t.engine.find("in-parallel") != std::string::npos ||
-                t.engine.find("sparse") != std::string::npos ||
-                t.engine == "stencil") {
+                t.engine.find("sparse") != std::string::npos) {
                 EXPECT_GT(items, 0)
                     << phaseName(phase) << " " << t.engine;
             }
@@ -274,7 +272,7 @@ TEST(Tuner, ExtensionsRespectGeometryGates)
     auto on5x5 = fp_engines(ConvSpec{10, 10, 2, 3, 5, 5, 1, 1}, 0.8);
     EXPECT_FALSE(has(on5x5, "winograd"));
     EXPECT_TRUE(has(on5x5, "sparse-weights-direct"));
-    EXPECT_EQ(on5x5.size(), 5u);
+    EXPECT_EQ(on5x5.size(), 4u);
 }
 
 TEST(Suites, Table2GeometriesAreValid)

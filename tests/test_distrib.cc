@@ -279,7 +279,7 @@ TEST(DataParallel, DeploysPerLayerEnginePlans)
     opts.global_batch = 8;
     opts.epochs = 1;
     EngineAssignment plan;
-    plan.fp = "stencil";
+    plan.fp = "direct";
     plan.bp_data = "gemm-in-parallel";
     plan.bp_weights = "parallel-gemm";
     opts.conv_engines = {plan};  // broadcast to every conv layer
@@ -287,7 +287,7 @@ TEST(DataParallel, DeploysPerLayerEnginePlans)
     dp.run(pool);
 
     ASSERT_EQ(dp.deployedEngines().size(), 1u);  // one conv layer
-    EXPECT_EQ(dp.deployedEngines()[0].fp, "stencil");
+    EXPECT_EQ(dp.deployedEngines()[0].fp, "direct");
     EXPECT_EQ(dp.deployedEngines()[0].bp_weights, "parallel-gemm");
 }
 

@@ -280,7 +280,7 @@ TEST(Network, EngineChoiceDoesNotChangeResults)
     std::vector<EngineAssignment> assignments = {
         {"parallel-gemm", "parallel-gemm", "parallel-gemm"},
         {"gemm-in-parallel", "gemm-in-parallel", "gemm-in-parallel"},
-        {"stencil", "sparse", "sparse"},
+        {"direct", "sparse", "sparse"},
     };
     std::vector<double> losses;
     for (const auto &assignment : assignments) {

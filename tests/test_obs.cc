@@ -412,6 +412,11 @@ TEST(Drift, JsonReportParses)
     s.region = "R5";
     s.measured_seconds = 2e-3;
     s.modeled_seconds = 1e-3;
+    // Traffic values whose row needs every character of the widest
+    // %.6g fields: a short buffer truncates traffic_rel_error's
+    // exponent into a valid but wrong number.
+    s.measured_bytes = 123456789;
+    s.modeled_bytes = 123458024.5678;
     report.add(s);
 
     JsonValue root;
@@ -424,6 +429,13 @@ TEST(Drift, JsonReportParses)
     const JsonValue &sample = root.find("samples")->array.at(0);
     EXPECT_EQ(sample.find("engine")->string, "sparse");
     EXPECT_NEAR(sample.find("rel_error")->number, 0.5, 1e-9);
+    EXPECT_NEAR(sample.find("measured_bytes")->number, 123456789, 1e3);
+    EXPECT_NEAR(sample.find("modeled_bytes")->number, 123458024.5678,
+                1e3);
+    const JsonValue *traffic = sample.find("traffic_rel_error");
+    ASSERT_NE(traffic, nullptr);
+    EXPECT_NEAR(traffic->number, s.trafficRelError(),
+                1e-6 * std::fabs(s.trafficRelError()));
 }
 
 TEST(Drift, ZeroMeasuredTimeHasZeroError)

@@ -12,6 +12,7 @@
 #include <sched.h>
 #endif
 
+#include "conv/engines.hh"
 #include "data/suites.hh"
 #include "perf/region.hh"
 #include "perf/roofline.hh"
@@ -50,7 +51,7 @@ TEST(Region, RecommendationsFollowPaperRules)
     ConvSpec mid = ConvSpec::square(64, 250, 120, 5);
     ConvSpec big = ConvSpec::square(64, 1024, 512, 2);
 
-    EXPECT_EQ(recommendTechniques(small, 0.0).fp, "stencil");
+    EXPECT_EQ(recommendTechniques(small, 0.0).fp, "direct");
     EXPECT_EQ(recommendTechniques(mid, 0.0).fp, "gemm-in-parallel");
     EXPECT_EQ(recommendTechniques(big, 0.0).fp, "parallel-gemm");
     EXPECT_EQ(recommendTechniques(mid, 0.85).bp, "sparse");
@@ -294,6 +295,23 @@ TEST(ConvModel, StencilWinsOnlyForFewFeatures)
     EXPECT_GT(speedup(table1Convolutions()[5].spec), 1.0);  // Nf=64
     EXPECT_LT(speedup(table1Convolutions()[1].spec), 1.0);  // Nf=1024
     EXPECT_LT(speedup(table1Convolutions()[4].spec), 1.0);  // Nf=512
+}
+
+TEST(ConvModel, DriftJoinCoversExactlyTheDeployableEngines)
+{
+    // hasConvModel names the engines the drift joins can price: every
+    // registry engine except winograd. "stencil" is the paper's
+    // Stencil-Kernel, priced for the figures but never deployed.
+    for (const auto &engine : makeEngines())
+        EXPECT_EQ(hasConvModel(engine->name()),
+                  engine->name() != "winograd")
+            << engine->name();
+    EXPECT_FALSE(hasConvModel("stencil"));
+    MachineModel m = MachineModel::xeonE5_2650();
+    EXPECT_GT(modelConvPhase(m, table1Convolutions()[0].spec,
+                             Phase::Forward, "stencil", 64, 16)
+                  .seconds,
+              0.0);
 }
 
 TEST(ConvModel, SparseCrossoverNearPaperThreshold)

@@ -80,8 +80,8 @@ deployFp(Network &net, const std::string &engine)
 TEST(ServeForward, InferenceMatchesTrainingAcrossEnginesAndBatches)
 {
     const char *engines[] = {
-        "parallel-gemm", "gemm-in-parallel",      "stencil",
-        "direct",        "sparse-weights-direct",
+        "parallel-gemm", "gemm-in-parallel", "direct",
+        "sparse-weights-direct",
     };
     NetConfig config = parseNetConfig(kSmallNet);
     ThreadPool pool(2);

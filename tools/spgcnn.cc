@@ -583,10 +583,9 @@ cmdCounters(int argc, char **argv)
                 obs::perfEnabled() ? "available" : "n/a",
                 obs::energyMeter().available() ? "available" : "n/a");
 
-    // One representative per engine family, on a Table 1 layer where
-    // the family is at home: the small compute-bound ID 0 for the
-    // GEMM / direct / CSR-weights families, the large-kernel ID 5 for
-    // stencil. CSR-weights is measured at a post-pruning sparsity.
+    // One representative per engine family, on the small compute-bound
+    // Table 1 ID 0 where each family is at home. CSR-weights is
+    // measured at a post-pruning sparsity.
     struct Probe
     {
         const char *family;
@@ -597,7 +596,6 @@ cmdCounters(int argc, char **argv)
     static const Probe kProbes[] = {
         {"gemm (data-parallel)", 0, "parallel-gemm", 0.0},
         {"gemm (model-parallel)", 0, "gemm-in-parallel", 0.0},
-        {"stencil", 5, "stencil", 0.0},
         {"direct (NCHWc)", 0, "direct", 0.0},
         {"sparse-weights (CSR)", 0, "sparse-weights-direct", 0.9},
     };
