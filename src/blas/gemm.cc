@@ -293,6 +293,108 @@ gemmBlocked(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
     }
 }
 
+/** Independent chains gemmNtPacked runs side by side, enough to hide
+ *  the multiply-add latency even for a single row of C. */
+constexpr int kNtChains = 4;
+
+/**
+ * N 1 x kNtLanes tiles of one k block: lane l of tile i is the chain
+ * sum_p a[i][p] * b[i][p * kNtLanes + l] from zero in p order, with
+ * microKernel's multiply-add, operand order included.
+ */
+template <int N>
+inline void
+ntChains(std::int64_t kc, const float *const *a, const float *const *b,
+         float *tiles)
+{
+#if defined(__AVX512F__)
+    __m512 acc[N];
+    for (int i = 0; i < N; ++i)
+        acc[i] = _mm512_setzero_ps();
+    for (std::int64_t p = 0; p < kc; ++p)
+        for (int i = 0; i < N; ++i)
+            acc[i] = _mm512_fmadd_ps(
+                _mm512_set1_ps(a[i][p]),
+                _mm512_loadu_ps(b[i] + p * kNtLanes), acc[i]);
+    for (int i = 0; i < N; ++i)
+        _mm512_storeu_ps(tiles + i * kNtLanes, acc[i]);
+#elif defined(__AVX2__) && defined(__FMA__)
+    __m256 acc[N][2];
+    for (int i = 0; i < N; ++i)
+        acc[i][0] = acc[i][1] = _mm256_setzero_ps();
+    for (std::int64_t p = 0; p < kc; ++p) {
+        for (int i = 0; i < N; ++i) {
+            __m256 ai = _mm256_broadcast_ss(a[i] + p);
+            const float *bp = b[i] + p * kNtLanes;
+            acc[i][0] = _mm256_fmadd_ps(ai, _mm256_loadu_ps(bp), acc[i][0]);
+            acc[i][1] =
+                _mm256_fmadd_ps(ai, _mm256_loadu_ps(bp + 8), acc[i][1]);
+        }
+    }
+    for (int i = 0; i < N; ++i) {
+        _mm256_storeu_ps(tiles + i * kNtLanes, acc[i][0]);
+        _mm256_storeu_ps(tiles + i * kNtLanes + 8, acc[i][1]);
+    }
+#else
+    float acc[N][kNtLanes] = {};
+    for (std::int64_t p = 0; p < kc; ++p)
+        for (int i = 0; i < N; ++i)
+            for (int l = 0; l < kNtLanes; ++l)
+                acc[i][l] += a[i][p] * b[i][p * kNtLanes + l];
+    for (int i = 0; i < N; ++i)
+        for (int l = 0; l < kNtLanes; ++l)
+            tiles[i * kNtLanes + l] = acc[i][l];
+#endif
+}
+
+/**
+ * Rows [r0, r1) of gemmNtPacked. Per column block, the (k block, row)
+ * tiles are visited k block first, so the rows of one k block share
+ * its panel while it is in L1 and a lone row still overlaps its k
+ * blocks; each row folds its tiles in k-block order through
+ * writeTile, as gemmBlocked does.
+ */
+void
+gemmNtRows(std::int64_t r0, std::int64_t r1, std::int64_t n,
+           std::int64_t k, const float *a, const float *bt, float *c)
+{
+    alignas(64) float tiles[kNtChains * kNtLanes];
+    const std::int64_t rows = r1 - r0;
+    const std::int64_t chains = (k + kKc - 1) / kKc * rows;
+    for (std::int64_t jb = 0; jb < n; jb += kNtLanes) {
+        const std::int64_t cols = std::min(kNtLanes, n - jb);
+        const float *panel = bt + jb * k;
+        for (std::int64_t g = 0; g < chains;) {
+            // Up to kNtChains consecutive tiles of one depth (only the
+            // last k block can be shallower).
+            const float *ap[kNtChains];
+            const float *bp[kNtChains];
+            std::int64_t first = g;
+            std::int64_t kc = std::min(kKc, k - g / rows * kKc);
+            int count = 0;
+            for (; count < kNtChains && g < chains &&
+                   std::min(kKc, k - g / rows * kKc) == kc;
+                 ++count, ++g) {
+                std::int64_t pc = g / rows * kKc;
+                ap[count] = a + (r0 + g % rows) * k + pc;
+                bp[count] = panel + pc * kNtLanes;
+            }
+            switch (count) {
+              case 1: ntChains<1>(kc, ap, bp, tiles); break;
+              case 2: ntChains<2>(kc, ap, bp, tiles); break;
+              case 3: ntChains<3>(kc, ap, bp, tiles); break;
+              default: ntChains<kNtChains>(kc, ap, bp, tiles); break;
+            }
+            for (int i = 0; i < count; ++i) {
+                std::int64_t t = first + i;
+                writeTile(tiles + i * kNtLanes,
+                          c + (r0 + t % rows) * n + jb, n, 1, cols,
+                          t < rows ? 0.0f : 1.0f);
+            }
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -376,6 +478,39 @@ parallelGemm(ThreadPool &pool, Trans ta, Trans tb, std::int64_t m,
     std::int64_t lda = ta == Trans::No ? k : m;
     std::int64_t ldb = tb == Trans::No ? n : k;
     parallelGemm(pool, ta, tb, m, n, k, 1.0f, a, lda, b, ldb, beta, c, n);
+}
+
+std::int64_t
+packedNtElems(std::int64_t n, std::int64_t k)
+{
+    return roundUpTo(n, kNtLanes) * k;
+}
+
+void
+packNtColumns(const float *b, std::int64_t n, std::int64_t k,
+              std::int64_t p0, std::int64_t p1, float *bt)
+{
+    for (std::int64_t j = 0; j < n; ++j) {
+        const float *row = b + j * k;
+        float *dst = bt + (j / kNtLanes) * k * kNtLanes + j % kNtLanes;
+        for (std::int64_t p = p0; p < p1; ++p)
+            dst[p * kNtLanes] = row[p];
+    }
+}
+
+void
+gemmNtPacked(ThreadPool &pool, std::int64_t m, std::int64_t n,
+             std::int64_t k, const float *a, const float *bt, float *c)
+{
+    if (m <= 0 || n <= 0)
+        return;
+    if (k <= 0) {
+        scaleC(m, n, 0.0f, c, n);
+        return;
+    }
+    pool.parallelFor(m, [&](std::int64_t r0, std::int64_t r1, int) {
+        gemmNtRows(r0, r1, n, k, a, bt, c);
+    });
 }
 
 } // namespace spg

@@ -203,17 +203,17 @@ ConvLayer::backward(const Tensor &in, const Tensor &, const Tensor &eo,
 }
 
 void
-ConvLayer::update(float learning_rate)
+ConvLayer::update(float learning_rate, ThreadPool &pool)
 {
     SPG_ASSERT(!inference_only);
-    float *w = weights_.data();
-    const float *dw = dweights.data();
-    for (std::int64_t i = 0; i < weights_.size(); ++i)
-        w[i] -= learning_rate * dw[i];
-    // Re-prune: the SGD step revives masked weights; zeroing them
-    // again here keeps the layer at its scheduled sparsity between
-    // prune steps.
-    applyPruneMask(weights_, prune_mask);
+    // Re-prune in the same pass: the SGD step revives masked weights;
+    // zeroing them again keeps the layer at its scheduled sparsity
+    // between prune steps.
+    pool.parallelFor(weights_.size(),
+                     [&](std::int64_t begin, std::int64_t end, int) {
+                         sgdStep(weights_.data(), dweights.data(),
+                                 prune_mask, learning_rate, begin, end);
+                     });
     WeightPlanCache::global().invalidate(weights_.data());
 }
 

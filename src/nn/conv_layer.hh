@@ -59,7 +59,7 @@ class ConvLayer : public Layer
     void forward(const Tensor &in, Tensor &out, ThreadPool &pool) override;
     void backward(const Tensor &in, const Tensor &out, const Tensor &eo,
                   Tensor &ei, ThreadPool &pool) override;
-    void update(float learning_rate) override;
+    void update(float learning_rate, ThreadPool &pool) override;
 
     /** BP-weights reads the saved input; the (possibly fused-ReLU)
      *  output is never revisited — its role in BP is carried by the

@@ -15,7 +15,9 @@ FcLayer::FcLayer(Geometry geometry, std::int64_t outputs, Rng &rng)
       weights(Shape{outputs, geometry.elems()}),
       bias(Shape{outputs}),
       dweights(Shape{outputs, geometry.elems()}),
-      dbias(Shape{outputs})
+      dbias(Shape{outputs}),
+      weights_t(static_cast<std::size_t>(
+          packedNtElems(outputs, geometry.elems())))
 {
     if (outputs <= 0)
         fatal("fc layer needs a positive output count");
@@ -36,9 +38,16 @@ FcLayer::forward(const Tensor &in, Tensor &out, ThreadPool &pool)
 {
     std::int64_t batch = in.shape()[0];
     std::int64_t d = geom.elems();
+    if (weights_t_stale) {
+        pool.parallelFor(d, [&](std::int64_t p0, std::int64_t p1, int) {
+            packNtColumns(weights.data(), outputs, d, p0, p1,
+                          weights_t.data());
+        });
+        weights_t_stale = false;
+    }
     // out[B x outputs] = in[B x D] * W^T[D x outputs].
-    parallelGemm(pool, Trans::No, Trans::Yes, batch, outputs, d,
-                 in.data(), weights.data(), 0.0f, out.data());
+    gemmNtPacked(pool, batch, outputs, d, in.data(), weights_t.data(),
+                 out.data());
     float *o = out.data();
     if (fused_relu && inference_only) {
         // Forward-only: clamp in the bias epilogue, store no mask.
@@ -90,7 +99,9 @@ FcLayer::backward(const Tensor &in, const Tensor &, const Tensor &eo,
         // over the error tensor disappears.
         SPG_ASSERT(relu_mask.size() ==
                    static_cast<std::size_t>(eo.size()));
-        if (masked_eo.size() != eo.size())
+        // Compare shapes: an empty Tensor reports size() 1, so a size
+        // test skips the allocation when batch * outputs is 1.
+        if (masked_eo.shape() != eo.shape())
             masked_eo = Tensor::uninitialized(eo.shape());
         float *dst = masked_eo.data();
         const std::uint8_t *m = relu_mask.data();
@@ -123,17 +134,23 @@ FcLayer::setInferenceOnly()
 }
 
 void
-FcLayer::update(float learning_rate)
+FcLayer::update(float learning_rate, ThreadPool &pool)
 {
     SPG_ASSERT(!inference_only);
-    float *w = weights.data();
-    const float *dw = dweights.data();
-    for (std::int64_t i = 0; i < weights.size(); ++i)
-        w[i] -= learning_rate * dw[i];
+    // Split over the D columns of W: each worker steps (and re-prunes,
+    // keeping masked weights exactly zero) its columns of every output
+    // row, then writes the same columns of W^T while they are hot.
+    std::int64_t d = geom.elems();
+    pool.parallelFor(d, [&](std::int64_t p0, std::int64_t p1, int) {
+        for (std::int64_t j = 0; j < outputs; ++j)
+            sgdStep(weights.data(), dweights.data(), prune_mask,
+                    learning_rate, j * d + p0, j * d + p1);
+        packNtColumns(weights.data(), outputs, d, p0, p1,
+                      weights_t.data());
+    });
+    weights_t_stale = false;
     for (std::int64_t j = 0; j < outputs; ++j)
-        bias[j] -= learning_rate * dbias[j];
-    // Re-prune: keep masked weights exactly zero across SGD steps.
-    applyPruneMask(weights, prune_mask);
+        bias[j] = sgdFma(bias[j], dbias[j], learning_rate);
 }
 
 void

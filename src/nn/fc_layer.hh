@@ -10,13 +10,17 @@
 #include <vector>
 
 #include "nn/layer.hh"
+#include "util/aligned.hh"
 #include "util/random.hh"
 
 namespace spg {
 
 /**
  * Dense layer: out[b] = W * flatten(in[b]) + bias. Implemented with
- * the spg-CNN SGEMM (one batched MM per phase).
+ * the spg-CNN SGEMM (one batched MM per phase). FP multiplies by a
+ * W^T the layer keeps packed (gemmNtPacked), written once per weight
+ * version: by update() in its SGD pass, otherwise by the next
+ * forward() after construction, paramsUpdated() or pruneToSparsity().
  */
 class FcLayer : public Layer
 {
@@ -38,7 +42,7 @@ class FcLayer : public Layer
     void forward(const Tensor &in, Tensor &out, ThreadPool &pool) override;
     void backward(const Tensor &in, const Tensor &out, const Tensor &eo,
                   Tensor &ei, ThreadPool &pool) override;
-    void update(float learning_rate) override;
+    void update(float learning_rate, ThreadPool &pool) override;
 
     /** BP-weights needs the saved input; the output (possibly already
      *  ReLU-clamped in the fused bias epilogue) is never re-read. */
@@ -67,6 +71,7 @@ class FcLayer : public Layer
     {
         return {&dweights, &dbias};
     }
+    void paramsUpdated() override { weights_t_stale = true; }
 
     bool prunable() const override { return true; }
     void pruneToSparsity(double sparsity) override;
@@ -89,6 +94,11 @@ class FcLayer : public Layer
     Tensor bias;      ///< [outputs]
     Tensor dweights;  ///< gradient accumulator
     Tensor dbias;
+    /** W packed as B^T for gemmNtPacked, [ceil(outputs/16)][D][16];
+     *  allocated zeroed, so its pad lanes are. */
+    AlignedBuffer<float> weights_t;
+    /** W changed since weights_t was last written. */
+    bool weights_t_stale = true;
     bool fused_relu = false;
     /** ReLU activity mask [B][outputs] saved by the fused forward. */
     std::vector<std::uint8_t> relu_mask;

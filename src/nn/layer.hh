@@ -93,8 +93,15 @@ class Layer
      */
     virtual bool inPlaceCapable() const { return false; }
 
-    /** SGD parameter update; no-op for parameterless layers. */
-    virtual void update(float /* learning_rate */) {}
+    /**
+     * SGD parameter update; no-op for parameterless layers. Runs on
+     * @p pool with a static split of each parameter tensor; every
+     * element gets the same expression at any pool size, so the
+     * updated bytes do not depend on it.
+     */
+    virtual void update(float /* learning_rate */, ThreadPool & /* pool */)
+    {
+    }
 
     /** @return true when the layer has trainable parameters. */
     virtual bool hasParams() const { return false; }

@@ -394,6 +394,7 @@ Network::forwardBackward(const Tensor &images,
     if (inference_only_)
         fatal("forwardBackward() on a forward-only network");
     auto step_start = std::chrono::steady_clock::now();
+    update_pool_ = &pool;
     head->setLabels(labels);
     forward(images, pool);
 
@@ -417,9 +418,12 @@ Network::forwardBackward(const Tensor &images,
 void
 Network::applyUpdate(float learning_rate)
 {
+    if (update_pool_ == nullptr)
+        fatal("applyUpdate() without a preceding forwardBackward(): the "
+              "SGD update runs on that call's pool");
     SPG_TRACE_SCOPE("train", "update");
     for (auto &layer : layers)
-        layer->update(learning_rate);
+        layer->update(learning_rate, *update_pool_);
 }
 
 double

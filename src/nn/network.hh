@@ -93,7 +93,8 @@ class Network
                               const BackwardHook &hook = nullptr);
 
     /** The second half of trainStep(): SGD update from the gradients
-     *  currently held in every layer's grads(). */
+     *  currently held in every layer's grads(), run on the pool of the
+     *  last forwardBackward() (fatal when none ran). */
     void applyUpdate(float learning_rate);
 
     /** FP-only accuracy over a labeled batch. */
@@ -193,6 +194,8 @@ class Network
     std::vector<std::unique_ptr<Layer>> layers;
     SoftmaxLayer *head = nullptr;  ///< owned by `layers`, always last
     bool inference_only_ = false;
+    /** Pool of the last forwardBackward(); applyUpdate() runs on it. */
+    ThreadPool *update_pool_ = nullptr;
     /** Arena slabs backing acts/errs views; sized at plan_batch_. */
     std::vector<AlignedBuffer<float>> arena_slabs;
     std::vector<Tensor> acts;      ///< acts[i]: output of layer i

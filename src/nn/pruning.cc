@@ -111,4 +111,17 @@ applyPruneMask(Tensor &w, const std::vector<std::uint8_t> &mask)
             data[i] = 0.0f;
 }
 
+void
+sgdStep(float *w, const float *dw, const std::vector<std::uint8_t> &mask,
+        float learning_rate, std::int64_t begin, std::int64_t end)
+{
+    for (std::int64_t i = begin; i < end; ++i)
+        w[i] = sgdFma(w[i], dw[i], learning_rate);
+    if (mask.empty())
+        return;
+    for (std::int64_t i = begin; i < end; ++i)
+        if (!mask[static_cast<std::size_t>(i)])
+            w[i] = 0.0f;
+}
+
 } // namespace spg

@@ -29,6 +29,7 @@
 #ifndef SPG_NN_PRUNING_HH
 #define SPG_NN_PRUNING_HH
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -87,6 +88,31 @@ double magnitudePrune(Tensor &w, double sparsity,
 
 /** Zero every masked-out position of @p w (post-SGD re-prune). */
 void applyPruneMask(Tensor &w, const std::vector<std::uint8_t> &mask);
+
+/**
+ * w - learning_rate * dw rounded once. GCC contracts the plain
+ * expression into this under its default -ffp-contract=fast, even in
+ * ISO C++ mode, but only where multiply and subtract share a basic
+ * block; spelling it out keeps the SGD bytes independent of how a loop
+ * happens to compile.
+ */
+inline float
+sgdFma(float w, float dw, float learning_rate)
+{
+    return std::fma(-learning_rate, dw, w);
+}
+
+/**
+ * The SGD step over w[begin, end): w[i] -= learning_rate * dw[i] as one
+ * fused multiply-subtract (sgdFma), then every masked-out position back
+ * to zero (an empty mask keeps all). Indices are relative to @p w,
+ * @p dw and @p mask alike, so layers split one tensor into disjoint
+ * ranges across pool workers; each element runs the same expression
+ * whatever the split, so the bytes do not depend on it.
+ */
+void sgdStep(float *w, const float *dw,
+             const std::vector<std::uint8_t> &mask, float learning_rate,
+             std::int64_t begin, std::int64_t end);
 
 } // namespace spg
 

@@ -50,6 +50,8 @@ RequestQueue::popBatch(std::size_t max_batch, std::int64_t budget_ns,
 
     // Coalesce: the deadline belongs to the oldest request in the
     // batch, so time already spent queued counts against the budget.
+    // An expired budget only ends the waiting: requests already queued
+    // still join, up to max_batch.
     auto deadline = timePointFromNs(out.front()->submit_ns + budget_ns);
     while (out.size() < max_batch) {
         if (items_.empty()) {
@@ -66,9 +68,6 @@ RequestQueue::popBatch(std::size_t max_batch, std::int64_t budget_ns,
         }
         out.push_back(items_.front());
         items_.pop_front();
-        if (budget_ns > 0 &&
-            std::chrono::steady_clock::now() >= deadline)
-            break;
     }
     return out.size();
 }

@@ -45,11 +45,13 @@ class RequestQueue
     /**
      * Dequeue a coalesced batch into @p out (cleared first).
      *
-     * Blocks until at least one request is available, then keeps
-     * accepting arrivals until @p max_batch requests are in hand or
-     * the oldest one has waited @p budget_ns since submit. A zero
-     * budget degenerates to "grab whatever is already queued" and a
-     * max_batch of 1 to classic one-request-at-a-time serving.
+     * Blocks until at least one request is available, then takes
+     * what is queued and waits for arrivals until @p max_batch
+     * requests are in hand or the oldest one has waited @p budget_ns
+     * since submit. An expired budget stops only the waiting: what is
+     * already queued still joins. A zero budget degenerates to "grab
+     * whatever is already queued" and a max_batch of 1 to classic
+     * one-request-at-a-time serving.
      *
      * @return out.size(); 0 only when the queue is closed and empty.
      */

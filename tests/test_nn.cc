@@ -12,6 +12,7 @@
 #include <limits>
 #include <vector>
 
+#include "blas/gemm.hh"
 #include "core/net_config.hh"
 #include "data/suites.hh"
 #include "data/synthetic.hh"
@@ -134,6 +135,133 @@ TEST(PoolLayer, BackwardOverwritesPoisonedInputGradient)
                 << tc.g.c << "x" << tc.g.h << "x" << tc.g.w << " k"
                 << tc.kernel << " s" << tc.stride
                 << (mode == PoolLayer::Mode::Max ? " max" : " avg");
+        }
+    }
+}
+
+/**
+ * The max-pool forward as it was before it was vectorized: a branch per
+ * window element, strict `>` in (ky, kx) order from the window's (0, 0)
+ * element. Kept here as the oracle of the tie and NaN rule.
+ */
+void
+maxPoolReference(const float *in, std::int64_t planes, std::int64_t h,
+                 std::int64_t w, std::int64_t k, std::int64_t s,
+                 float *out, std::int32_t *argmax)
+{
+    const std::int64_t oh = (h - k) / s + 1, ow = (w - k) / s + 1;
+    for (std::int64_t p = 0; p < planes; ++p) {
+        const float *plane = in + p * h * w;
+        for (std::int64_t y = 0; y < oh; ++y) {
+            for (std::int64_t x = 0; x < ow; ++x) {
+                std::int64_t y0 = y * s, x0 = x * s;
+                float best = plane[y0 * w + x0];
+                std::int64_t best_idx = y0 * w + x0;
+                for (std::int64_t ky = 0; ky < k; ++ky)
+                    for (std::int64_t kx = 0; kx < k; ++kx) {
+                        std::int64_t idx = (y0 + ky) * w + x0 + kx;
+                        if (plane[idx] > best) {
+                            best = plane[idx];
+                            best_idx = idx;
+                        }
+                    }
+                out[(p * oh + y) * ow + x] = best;
+                argmax[(p * oh + y) * ow + x] =
+                    static_cast<std::int32_t>(best_idx);
+            }
+        }
+    }
+}
+
+/** Inputs rich in ties, signed zeros, NaNs and infinities. */
+void
+fillPoolEdgeCases(Tensor &t, Rng &rng)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    for (std::int64_t i = 0; i < t.size(); ++i) {
+        switch (rng.below(10)) {
+          case 0: t[i] = nan; break;
+          case 1: t[i] = inf; break;
+          case 2: t[i] = -inf; break;
+          case 3: t[i] = 0.0f; break;
+          case 4: t[i] = -0.0f; break;
+          case 5:
+          case 6: t[i] = static_cast<float>(rng.below(3)) - 1.0f; break;
+          default: t[i] = rng.uniform(-2.0f, 2.0f); break;
+        }
+    }
+}
+
+TEST(PoolLayer, MaxForwardMatchesScalarReference)
+{
+    struct Window
+    {
+        std::int64_t k, s;
+    };
+    // Non-overlapping, odd, strided-past-the-window and overlapping;
+    // a window wider than two vectors takes the scalar path on every
+    // build.
+    const Window windows[] = {{2, 2}, {3, 2}, {4, 4},
+                              {2, 3}, {3, 1}, {33, 2}};
+    const std::int64_t out_widths[] = {1, 7, 24, 33, 70};
+    const std::int64_t batches[] = {1, 3, 16};
+    const int pool_sizes[] = {1, 2, 4};
+    for (int threads : pool_sizes) {
+        ThreadPool pool(threads);
+        for (const Window &win : windows) {
+            for (std::int64_t ow : out_widths) {
+                for (std::int64_t batch : batches) {
+                    // Odd output widths leave s - 1 input columns (and
+                    // the last rows) that no window reaches.
+                    const std::int64_t w =
+                        (ow - 1) * win.s + win.k + (ow % 2) * (win.s - 1);
+                    const std::int64_t h = 2 * win.s + win.k + 1;
+                    const Geometry g{2, h, w};
+                    PoolLayer layer(g, win.k, win.s, PoolLayer::Mode::Max);
+                    const Geometry og = layer.outputGeometry();
+                    ASSERT_EQ(og.w, ow);
+                    Rng rng(static_cast<std::uint64_t>(
+                        threads * 1000003 + win.k * 10007 + win.s * 101 +
+                        ow * 7 + batch));
+                    Tensor in(Shape{batch, g.c, g.h, g.w});
+                    fillPoolEdgeCases(in, rng);
+                    Tensor out(Shape{batch, og.c, og.h, og.w});
+                    out.fill(123.0f);
+                    layer.forward(in, out, pool);
+
+                    Tensor want(Shape{batch, og.c, og.h, og.w});
+                    std::vector<std::int32_t> want_am(
+                        static_cast<std::size_t>(want.size()));
+                    maxPoolReference(in.data(), batch * g.c, h, w, win.k,
+                                     win.s, want.data(), want_am.data());
+                    SCOPED_TRACE(testing::Message()
+                                 << "k" << win.k << " s" << win.s << " ow"
+                                 << ow << " b" << batch << " threads "
+                                 << threads);
+                    ASSERT_EQ(std::memcmp(out.data(), want.data(),
+                                          sizeof(float) * want.size()),
+                              0);
+
+                    // The argmax is read back through backward(): each
+                    // output's distinct error lands at its argmax, and
+                    // overlapping windows sum in output order.
+                    Tensor eo(Shape{batch, og.c, og.h, og.w});
+                    eo.fillUniform(rng, 1.0f, 2.0f);
+                    Tensor ei(Shape{batch, g.c, g.h, g.w});
+                    layer.backward(in, out, eo, ei, pool);
+                    Tensor want_ei(Shape{batch, g.c, g.h, g.w});
+                    want_ei.zero();
+                    const std::int64_t op = og.h * og.w;
+                    for (std::int64_t o = 0; o < eo.size(); ++o)
+                        want_ei[o / op * h * w +
+                                want_am[static_cast<std::size_t>(o)]] +=
+                            eo[o];
+                    ASSERT_EQ(std::memcmp(ei.data(), want_ei.data(),
+                                          sizeof(float) * want_ei.size()),
+                              0);
+                }
+            }
         }
     }
 }
@@ -409,6 +537,199 @@ TEST(FcLayer, LinearityAndBias)
     fc.forward(x2, y2, pool);
     EXPECT_NEAR(y2[0], 2 * y1[0], 1e-5);
     EXPECT_NEAR(y2[1], 2 * y1[1], 1e-5);
+}
+
+/**
+ * What FcLayer::forward must produce, bit for bit: sgemm's product of
+ * the layer's current weights, then the bias epilogue.
+ */
+Tensor
+fcReference(FcLayer &fc, const Tensor &in, bool relu)
+{
+    const std::int64_t batch = in.shape()[0];
+    const std::int64_t d = fc.inputGeometry().elems();
+    const std::int64_t outputs = fc.outputGeometry().c;
+    const float *w = fc.params()[0]->data();
+    const float *bias = fc.params()[1]->data();
+    Tensor out(Shape{batch, outputs, 1, 1});
+    sgemm(Trans::No, Trans::Yes, batch, outputs, d, 1.0f, in.data(), d, w,
+          d, 0.0f, out.data(), outputs);
+    for (std::int64_t b = 0; b < batch; ++b) {
+        for (std::int64_t j = 0; j < outputs; ++j) {
+            float v = out[b * outputs + j] + bias[j];
+            out[b * outputs + j] = relu ? (v > 0.0f ? v : 0.0f) : v;
+        }
+    }
+    return out;
+}
+
+TEST(FcLayer, ForwardMatchesSgemmBytewise)
+{
+    const std::int64_t depths[] = {1, 255, 256, 257, 2880};
+    const std::int64_t widths[] = {1, 10, 16, 17, 100};
+    ThreadPool pools[] = {ThreadPool(1), ThreadPool(2), ThreadPool(4)};
+    for (std::int64_t d : depths) {
+        for (std::int64_t outputs : widths) {
+            for (std::int64_t batch = 1; batch <= 17; ++batch) {
+                for (int relu = 0; relu < 2; ++relu) {
+                    ThreadPool &pool = pools[batch % 3];
+                    SCOPED_TRACE(testing::Message()
+                                 << "d" << d << " outputs " << outputs
+                                 << " b" << batch << (relu ? " relu" : ""));
+                    Rng rng(static_cast<std::uint64_t>(
+                        d * 1009 + outputs * 31 + batch * 2 + relu));
+                    const Geometry g{d, 1, 1};
+                    FcLayer fc(g, outputs, rng);
+                    fc.setFusedRelu(relu != 0);
+                    Tensor in(Shape{batch, d, 1, 1});
+                    Tensor out(Shape{batch, outputs, 1, 1});
+                    auto check = [&](const char *stage) {
+                        in.fillUniform(rng);
+                        fc.forward(in, out, pool);
+                        Tensor want = fcReference(fc, in, relu != 0);
+                        ASSERT_EQ(std::memcmp(out.data(), want.data(),
+                                              sizeof(float) * want.size()),
+                                  0)
+                            << "after " << stage;
+                    };
+                    check("construction");
+
+                    Tensor eo(Shape{batch, outputs, 1, 1});
+                    eo.fillUniform(rng);
+                    Tensor ei(Shape{batch, d, 1, 1});
+                    fc.backward(in, out, eo, ei, pool);
+                    fc.update(0.05f, pool);
+                    check("update");
+
+                    fc.params()[0]->fillUniform(rng);
+                    fc.params()[1]->fillUniform(rng);
+                    fc.paramsUpdated();
+                    check("an external write");
+
+                    fc.pruneToSparsity(0.5);
+                    check("pruneToSparsity");
+
+                    FcLayer serving(g, outputs, rng);
+                    serving.setFusedRelu(relu != 0);
+                    serving.setInferenceOnly();
+                    in.fillUniform(rng);
+                    serving.forward(in, out, pool);
+                    Tensor want = fcReference(serving, in, relu != 0);
+                    ASSERT_EQ(std::memcmp(out.data(), want.data(),
+                                          sizeof(float) * want.size()),
+                              0)
+                        << "inference-only";
+                }
+            }
+        }
+    }
+}
+
+// DeterminismSgdUpdate: the pool-parallel SGD step must give the bytes
+// of the serial expression at every pool size: w - lr * dw rounded once
+// (the fused multiply-subtract the old serial loops compiled to), then
+// the prune mask. FcLayer's W^T, written in the same pass, must agree
+// with the weights (checked through forward() against sgemm).
+TEST(DeterminismSgdUpdate, ByteIdenticalAtEveryPoolSize)
+{
+    const float lr = 0.05f;
+    for (bool pruned : {false, true}) {
+        // Serial reference from one set of weights and gradients.
+        Rng rng(pruned ? 41 : 40);
+        ConvSpec spec{14, 14, 3, 8, 3, 3, 1, 1};
+        Rng init_rng(7);
+        ConvLayer conv_ref("conv_ref", spec, init_rng);
+        FcLayer fc_ref(Geometry{6, 7, 9}, 19, init_rng);
+        if (pruned) {
+            conv_ref.pruneToSparsity(0.6);
+            fc_ref.pruneToSparsity(0.6);
+        }
+        Tensor conv_dw(conv_ref.weights().shape());
+        conv_dw.fillUniform(rng);
+        Tensor fc_dw(fc_ref.grads()[0]->shape());
+        fc_dw.fillUniform(rng);
+        Tensor fc_db(fc_ref.grads()[1]->shape());
+        fc_db.fillUniform(rng);
+        auto serial = [&](Layer &layer, const Tensor &dw) {
+            Tensor w = layer.params()[0]->clone();
+            const std::vector<std::uint8_t> &mask = *layer.pruneMask();
+            for (std::int64_t i = 0; i < w.size(); ++i)
+                w[i] = std::fma(-lr, dw[i], w[i]);
+            for (std::int64_t i = 0; i < w.size(); ++i)
+                if (!mask.empty() && !mask[static_cast<std::size_t>(i)])
+                    w[i] = 0.0f;
+            return w;
+        };
+        Tensor conv_want = serial(conv_ref, conv_dw);
+        Tensor fc_want = serial(fc_ref, fc_dw);
+        Tensor bias_want = fc_ref.params()[1]->clone();
+        for (std::int64_t j = 0; j < bias_want.size(); ++j)
+            bias_want[j] = std::fma(-lr, fc_db[j], bias_want[j]);
+
+        for (int threads : {1, 2, 4}) {
+            SCOPED_TRACE(testing::Message()
+                         << (pruned ? "pruned, " : "dense, ") << threads
+                         << " threads");
+            ThreadPool pool(threads);
+            Rng same_init(7);
+            ConvLayer conv("conv", spec, same_init);
+            FcLayer fc(Geometry{6, 7, 9}, 19, same_init);
+            if (pruned) {
+                conv.pruneToSparsity(0.6);
+                fc.pruneToSparsity(0.6);
+            }
+            // One forward packs W^T before the update rewrites it.
+            Tensor in(Shape{3, 6, 7, 9});
+            in.fillUniform(rng);
+            Tensor out(Shape{3, 19, 1, 1});
+            fc.forward(in, out, pool);
+
+            auto setGrad = [](Tensor *g, const Tensor &value) {
+                std::memcpy(g->data(), value.data(),
+                            sizeof(float) * value.size());
+            };
+            setGrad(conv.grads()[0], conv_dw);
+            setGrad(fc.grads()[0], fc_dw);
+            setGrad(fc.grads()[1], fc_db);
+            conv.update(lr, pool);
+            fc.update(lr, pool);
+            EXPECT_EQ(std::memcmp(conv.weights().data(), conv_want.data(),
+                                  sizeof(float) * conv_want.size()),
+                      0)
+                << "conv weights";
+            EXPECT_EQ(std::memcmp(fc.params()[0]->data(), fc_want.data(),
+                                  sizeof(float) * fc_want.size()),
+                      0)
+                << "fc weights";
+            EXPECT_EQ(std::memcmp(fc.params()[1]->data(), bias_want.data(),
+                                  sizeof(float) * bias_want.size()),
+                      0)
+                << "fc bias";
+            fc.forward(in, out, pool);
+            Tensor want = fcReference(fc, in, false);
+            EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                                  sizeof(float) * want.size()),
+                      0)
+                << "fc W^T";
+        }
+    }
+}
+
+TEST(NetworkDeath, ApplyUpdateWithoutForwardBackward)
+{
+    NetConfig config = parseNetConfig(R"(
+        name: "tiny"
+        input { channels: 1 height: 8 width: 8 classes: 3 }
+        layer { type: conv features: 2 kernel: 3 }
+        layer { type: fc outputs: 3 }
+        layer { type: softmax }
+    )");
+    EXPECT_DEATH(
+        {
+            Network net(config, 1);
+            net.applyUpdate(0.1f);
+        },
+        "applyUpdate\\(\\) without a preceding forwardBackward\\(\\)");
 }
 
 } // namespace

@@ -168,7 +168,7 @@ TEST(PruningConvLayer, PruneSurvivesSgdUpdates)
     Tensor eo = out.clone();
     Tensor ei(Shape{2, spec.nc, spec.ny, spec.nx});
     layer.backward(in, out, eo, ei, pool);
-    layer.update(0.05f);
+    layer.update(0.05f, pool);
 
     EXPECT_GE(layer.weightSparsity(), pruned);
     const float *w = layer.weights().data();

@@ -248,6 +248,26 @@ TEST(ServeQueue, BudgetTimeoutReturnsPartialBatch)
     EXPECT_LT(waited, 500'000'000);
 }
 
+TEST(ServeQueue, ExpiredBudgetStillTakesWhatIsQueued)
+{
+    // Requests queued 5 ms ago under a 2 ms budget: the budget is gone
+    // before popBatch starts, which ends the waiting but must not cap
+    // the batch below what is already queued.
+    serve::RequestQueue q(64);
+    std::vector<serve::Request> reqs(64);
+    const std::int64_t submitted = serve::nowNs() - 5'000'000;
+    for (auto &r : reqs) {
+        r.submit_ns = submitted;
+        ASSERT_TRUE(q.tryPush(&r));
+    }
+    std::vector<serve::Request *> out;
+    for (int batch = 0; batch < 8; ++batch) {
+        EXPECT_EQ(q.popBatch(8, 2'000'000, out), 8u) << "batch " << batch;
+        EXPECT_EQ(out.front(), &reqs[static_cast<std::size_t>(batch) * 8]);
+    }
+    EXPECT_EQ(q.depth(), 0u);
+}
+
 TEST(ServeQueue, RejectsWhenFullAndFailsAfterClose)
 {
     serve::RequestQueue q(2);

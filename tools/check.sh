@@ -142,7 +142,12 @@ fi
 # the sort of pointer arithmetic ASan checks. The PoolLayer suite rides
 # along: pool BP zeroes each (image, channel) plane of ei inside its
 # parallel task, so a plane written by two tasks is a race TSan must
-# rule out and a stray plane offset an overrun ASan must. The sparse
+# rule out and a stray plane offset an overrun ASan must; the AVX-512
+# max-pool FP's masked edge loads are the same kind of overrun. The
+# FcLayer suite rides along: the packed W^T is written by the SGD
+# update's workers and read by the forward's, a handoff TSan must prove
+# race-free, and its padded column blocks are what ASan must prove
+# in-bounds. The sparse
 # BP suites (CtCsr, SparsePlanCache, SparseMm, ConvEngines.Sparse*)
 # ride along: the kernel-row replay's masked tail vectors and the
 # encode's row-cursor scatter are what ASan must prove in-bounds, and
@@ -152,6 +157,6 @@ fi
 if [[ $# -eq 0 && -z "${SPG_SANITIZE:-}" ]]; then
     for san in address thread; do
         SPG_SANITIZE="$san" "$(cd .. && pwd)/tools/check.sh" \
-            -R 'Determinism|PoolLayer|Direct|Blocked|SparseWeights|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|PerfCnt|Affinity|Rapl|DataParallel|Allreduce|GradCompress|ExchangeSched|CtCsr|SparsePlanCache|SparseMm|ConvEngines\.Sparse'
+            -R 'Determinism|PoolLayer|FcLayer|Direct|Blocked|SparseWeights|SparseDirect|Pruning|WeightPlanCache|Checkpoint|Serve|PerfCnt|Affinity|Rapl|DataParallel|Allreduce|GradCompress|ExchangeSched|CtCsr|SparsePlanCache|SparseMm|ConvEngines\.Sparse'
     done
 fi
