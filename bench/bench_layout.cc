@@ -5,12 +5,12 @@
  * Per Table 1 convolution and per minibatch size (a training batch and
  * a batch-1/-4 serving point), measures each phase on the direct
  * NCHWc register-tiled engine against the best of the pre-existing
- * engines, plus the NCHW<->NCHWc conversion cost the direct engine
- * pays at layer boundaries when the network has NOT negotiated a
- * blocked edge (the staged form — identical to what the tuner times).
- * A Tuner run at the same shapes shows whether the scheduler
- * auto-picks the direct engine with the conversion cost amortized into
- * the decision.
+ * engines, plus the share of a direct FP call spent staging its
+ * activations: the input NCHW->NCHWc pack and the output NCHWc->NCHW
+ * unpack, timed alone with the engine's own kernels and fan-out. The
+ * engine pays that staging inside every call, so a Tuner run at the
+ * same shapes shows whether the scheduler auto-picks the direct engine
+ * with the staging cost already in its measurement.
  *
  * Results go to a table and BENCH_layout.json so tools/bench_compare
  * can track the crossover across PRs.
@@ -149,8 +149,9 @@ main(int argc, char **argv)
             std::max(1u, std::thread::hardware_concurrency()));
     ThreadPool pool(cores);
 
-    if (!DirectEngine::blockedLayoutSupported())
-        inform("note: no AVX2+FMA — direct runs its portable fallback");
+#if !(defined(__AVX2__) && defined(__FMA__))
+    inform("note: no AVX2+FMA — direct runs its portable fallback");
+#endif
     warmHost(pool);
 
     const Phase kPhases[] = {Phase::Forward, Phase::BackwardData,
@@ -201,17 +202,36 @@ main(int argc, char **argv)
             w.fillUniform(rng, -0.5f, 0.5f);
             eo.fillUniform(rng);
 
-            // Boundary conversion cost the staged direct call pays
-            // and a negotiated blocked FP edge elides.
-            Tensor bin(nchwcShape(batch, spec.nc, spec.ny, spec.nx));
-            Tensor bout(
-                nchwcShape(batch, spec.nf, spec.outY(), spec.outX()));
-            bout.setLayout(Layout::nchwc(spec.nf));
-            Tensor out_nchw(
-                Shape{batch, spec.nf, spec.outY(), spec.outX()});
+            // Activation staging inside a direct FP call: pack the
+            // input per (image, channel block), unpack the output per
+            // (image, feature block), fanned out as the engine does.
+            const std::int64_t cbn = blockCount(spec.nc);
+            const std::int64_t kbn = blockCount(spec.nf);
+            const std::int64_t oy = spec.outY(), ox = spec.outX();
+            Tensor bin(Shape{batch, cbn, spec.ny, spec.nx * kChannelBlock});
+            Tensor bout(Shape{batch, kbn, oy, ox * kChannelBlock});
+            Tensor out_nchw(Shape{batch, spec.nf, oy, ox});
             double convert_seconds = bestTimeSeconds(reps, [&] {
-                nchwToNchwc(in, bin, pool);
-                nchwcToNchw(bout, out_nchw, pool);
+                pool.parallelForDynamic(
+                    batch * cbn,
+                    [&](std::int64_t i, int) {
+                        packImageBlockNchwc(
+                            in.data() + (i / cbn) * spec.inputElems(),
+                            bin.data() + (i / cbn) * (bin.size() / batch),
+                            spec.nc, spec.ny, spec.nx, kChannelBlock,
+                            i % cbn);
+                    },
+                    1);
+                pool.parallelForDynamic(
+                    batch * kbn,
+                    [&](std::int64_t i, int) {
+                        unpackImageBlockNchwc(
+                            bout.data() + (i / kbn) * (bout.size() / batch),
+                            out_nchw.data() +
+                                (i / kbn) * spec.outputElems(),
+                            spec.nf, oy, ox, kChannelBlock, i % kbn);
+                    },
+                    1);
             });
 
             json << (first_batch ? "" : ",")

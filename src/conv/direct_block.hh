@@ -235,7 +235,8 @@ directBpdPixelStrided(const float *eo_img, const float *wcb,
  * @param in_base Input base for this image and channel block such
  *        that lane ci of input column ix on input row iy lives at
  *        in_base + iy * in_row_stride + ix * in_x_stride +
- *        ci * in_c_stride (covers NCHW and blocked inputs).
+ *        ci * in_c_stride (the engine passes the plain NCHW
+ *        strides nx, 1 and ny * nx).
  * @param clive Live channel lanes in this block (tail blocks < 8).
  */
 template <int RC>

@@ -30,36 +30,23 @@ assertBlockedAlignment(const void *p, const char *what)
 #endif
 }
 
-/** Validate one activation operand that may be blocked or plain. */
+/** Validate one plain NCHW activation operand. */
 void
 checkActivation(const ConvSpec &spec, const Tensor &t,
                 std::int64_t batch, std::int64_t channels,
                 std::int64_t ny, std::int64_t nx, const char *what)
 {
-    if (t.layout().blocked()) {
-        if (t.layout().block != kCB ||
-            t.layout().channels != channels ||
-            t.shape() != nchwcShape(batch, channels, ny, nx)) {
-            panic("direct %s: blocked shape %s/%s does not match conv "
-                  "%s",
-                  what, t.shape().str().c_str(),
-                  t.layout().str().c_str(), spec.str().c_str());
-        }
-        assertBlockedAlignment(t.data(), what);
-    } else if (t.shape() != Shape{batch, channels, ny, nx}) {
+    if (t.shape() != Shape{batch, channels, ny, nx})
         panic("direct %s: shape %s does not match conv %s", what,
               t.shape().str().c_str(), spec.str().c_str());
-    }
 }
 
 void
 checkWeights(const ConvSpec &spec, const Tensor &w)
 {
-    if (w.layout().blocked() ||
-        w.shape() != Shape{spec.nf, spec.nc, spec.fy, spec.fx})
-        panic("direct weights: shape %s/%s does not match conv %s",
-              w.shape().str().c_str(), w.layout().str().c_str(),
-              spec.str().c_str());
+    if (w.shape() != Shape{spec.nf, spec.nc, spec.fy, spec.fx})
+        panic("direct weights: shape %s does not match conv %s",
+              w.shape().str().c_str(), spec.str().c_str());
 }
 
 /** Rows per task so each (image, block) group splits into enough
@@ -75,34 +62,7 @@ rowChunk(std::int64_t rows, std::int64_t groups, int threads)
     return std::max<std::int64_t>(1, (rows + want - 1) / want);
 }
 
-#if defined(__AVX2__) && defined(__FMA__)
-
-/** In-place epilogue over one blocked output row; the byte mask is
- *  indexed by NCHW flat offsets, so lanes walk their logical planes. */
-void
-applyEpilogueBlockedRow(const Epilogue &ep, float *row,
-                        std::int64_t mask_row_off, std::int64_t plane,
-                        std::int64_t ox, std::int64_t klive)
-{
-    for (std::int64_t ki = 0; ki < klive; ++ki) {
-        if (ep.kind == Epilogue::Kind::ReluMask) {
-            std::uint8_t *m = ep.mask + mask_row_off + ki * plane;
-            for (std::int64_t x = 0; x < ox; ++x) {
-                float v = row[x * kCB + ki];
-                bool live = v > 0.0f;
-                m[x] = live ? 1 : 0;
-                row[x * kCB + ki] = live ? v : 0.0f;
-            }
-        } else {
-            for (std::int64_t x = 0; x < ox; ++x) {
-                float v = row[x * kCB + ki];
-                row[x * kCB + ki] = v > 0.0f ? v : 0.0f;
-            }
-        }
-    }
-}
-
-#ifdef SPG_DIRECT_AVX512
+#if defined(__AVX2__) && defined(__FMA__) && defined(SPG_DIRECT_AVX512)
 
 /** packWeightBlockKcrsck with an exact float->double widening fused
  *  into the gather, feeding the zmm FP tiles. */
@@ -207,21 +167,9 @@ packWeightPairCfrsc(const float *w, float *dst, std::int64_t nf,
     }
 }
 
-#endif // SPG_DIRECT_AVX512
-
-#endif // __AVX2__ && __FMA__
+#endif // __AVX2__ && __FMA__ && SPG_DIRECT_AVX512
 
 } // namespace
-
-bool
-DirectEngine::blockedLayoutSupported()
-{
-#if defined(__AVX2__) && defined(__FMA__)
-    return true;
-#else
-    return false;
-#endif
-}
 
 void
 DirectEngine::forward(const ConvSpec &spec, const Tensor &in,
@@ -260,35 +208,18 @@ DirectEngine::forward(const ConvSpec &spec, const Tensor &in,
         },
         1);
 
-    // Input -> blocked double. When the producer already wrote NCHWc
-    // the gather is elided and only the exact widening pass remains.
+    // Input -> blocked double.
     double *inb = reinterpret_cast<double *>(arena.get(
         kSlotDirectIn, static_cast<std::size_t>(2 * batch * in_img)));
-    if (in.layout().blocked()) {
-        const float *src = in.data();
-        const std::int64_t plane = ny * nx * kCB;
-        pool.parallelForDynamic(
-            batch * cbn,
-            [&](std::int64_t i, int) {
-                const float *s = src + i * plane;
-                double *d = inb + i * plane;
-                for (std::int64_t p = 0; p < plane; p += 8)
-                    _mm512_storeu_pd(
-                        d + p,
-                        _mm512_cvtps_pd(_mm256_loadu_ps(s + p)));
-            },
-            1);
-    } else {
-        const float *src = in.data();
-        pool.parallelForDynamic(
-            batch * cbn,
-            [&](std::int64_t i, int) {
-                packImageBlockNchwcD(
-                    src + (i / cbn) * spec.inputElems(),
-                    inb + (i / cbn) * in_img, spec.nc, ny, nx, i % cbn);
-            },
-            1);
-    }
+    const float *src = in.data();
+    pool.parallelForDynamic(
+        batch * cbn,
+        [&](std::int64_t i, int) {
+            packImageBlockNchwcD(src + (i / cbn) * spec.inputElems(),
+                                 inb + (i / cbn) * in_img, spec.nc, ny,
+                                 nx, i % cbn);
+        },
+        1);
     assertBlockedAlignment(inb, "staged input");
 #else
     // Weights -> KCRSck (per call: weights change every step).
@@ -304,35 +235,26 @@ DirectEngine::forward(const ConvSpec &spec, const Tensor &in,
         },
         1);
 
-    // Input -> blocked (elided when the producer already wrote NCHWc).
-    const float *inb;
-    if (in.layout().blocked()) {
-        inb = in.data();
-    } else {
-        float *tmp = arena.get(
-            kSlotDirectIn, static_cast<std::size_t>(batch * in_img));
-        const float *src = in.data();
-        pool.parallelForDynamic(
-            batch * cbn,
-            [&](std::int64_t i, int) {
-                packImageBlockNchwc(src + (i / cbn) * spec.inputElems(),
-                                    tmp + (i / cbn) * in_img, spec.nc,
-                                    ny, nx, kCB, i % cbn);
-            },
-            1);
-        inb = tmp;
-    }
+    // Input -> blocked.
+    float *inb = arena.get(kSlotDirectIn,
+                           static_cast<std::size_t>(batch * in_img));
+    const float *src = in.data();
+    pool.parallelForDynamic(
+        batch * cbn,
+        [&](std::int64_t i, int) {
+            packImageBlockNchwc(src + (i / cbn) * spec.inputElems(),
+                                inb + (i / cbn) * in_img, spec.nc, ny, nx,
+                                kCB, i % cbn);
+        },
+        1);
     assertBlockedAlignment(inb, "staged input");
 #endif
 
-    // Output rows are produced blocked; unpacked unless the consumer
-    // negotiated NCHWc.
-    const bool out_blocked = out.layout().blocked();
+    // Output rows are produced blocked, then unpacked into `out` with
+    // the epilogue applied per plane.
     const std::int64_t out_img = kbn * oyN * oxN * kCB;
-    float *outb =
-        out_blocked ? out.data()
-                    : arena.get(kSlotDirectOut, static_cast<std::size_t>(
-                                                    batch * out_img));
+    float *outb = arena.get(kSlotDirectOut,
+                            static_cast<std::size_t>(batch * out_img));
     assertBlockedAlignment(outb, "blocked output");
 
     const std::int64_t chunk = rowChunk(oyN, batch * kbn, pool.threads());
@@ -348,8 +270,6 @@ DirectEngine::forward(const ConvSpec &spec, const Tensor &in,
             // double under AVX-512, float otherwise.
             const auto *img = inb + b * in_img;
             const auto *wb = wblk + kb * cbn * fy * fx * kCB * kCB;
-            const std::int64_t klive =
-                std::min(kCB, spec.nf - kb * kCB);
             for (std::int64_t y = y0; y < y1; ++y) {
                 float *row =
                     outb + ((b * kbn + kb) * oyN + y) * oxN * kCB;
@@ -381,35 +301,27 @@ DirectEngine::forward(const ConvSpec &spec, const Tensor &in,
                     directFpTile<1>(img, wb, cbn, ny, nx, fy, fx,
                                     spec.sy, spec.sx, y, x, row);
 #endif
-                if (out_blocked && epilogue.active())
-                    applyEpilogueBlockedRow(
-                        epilogue, row,
-                        ((b * spec.nf + kb * kCB) * oyN + y) * oxN,
-                        oyN * oxN, oxN, klive);
             }
         },
         1);
 
-    if (!out_blocked) {
-        float *dst = out.data();
-        pool.parallelForDynamic(
-            batch * kbn,
-            [&](std::int64_t i, int) {
-                const std::int64_t b = i / kbn, kb = i % kbn;
-                const std::int64_t plane = oyN * oxN;
-                unpackImageBlockNchwc(outb + b * out_img,
-                                      dst + b * spec.outputElems(),
-                                      spec.nf, oyN, oxN, kCB, kb);
-                const std::int64_t klive =
-                    std::min(kCB, spec.nf - kb * kCB);
-                for (std::int64_t ko = 0; ko < klive; ++ko) {
-                    const std::int64_t off =
-                        (b * spec.nf + kb * kCB + ko) * plane;
-                    epilogue.apply(dst + off, off, plane);
-                }
-            },
-            1);
-    }
+    float *dst = out.data();
+    pool.parallelForDynamic(
+        batch * kbn,
+        [&](std::int64_t i, int) {
+            const std::int64_t b = i / kbn, kb = i % kbn;
+            const std::int64_t plane = oyN * oxN;
+            unpackImageBlockNchwc(outb + b * out_img,
+                                  dst + b * spec.outputElems(), spec.nf,
+                                  oyN, oxN, kCB, kb);
+            const std::int64_t klive = std::min(kCB, spec.nf - kb * kCB);
+            for (std::int64_t ko = 0; ko < klive; ++ko) {
+                const std::int64_t off =
+                    (b * spec.nf + kb * kCB + ko) * plane;
+                epilogue.apply(dst + off, off, plane);
+            }
+        },
+        1);
 #else
     // Portable fallback: reference loop nests parallelized over the
     // batch (bitwise identical to ReferenceEngine).
@@ -436,8 +348,6 @@ DirectEngine::backwardData(const ConvSpec &spec, const Tensor &eo,
                            ThreadPool &pool, const BpMask &mask) const
 {
     const std::int64_t batch = eo.shape()[0];
-    // Error tensors are never blocked: layout negotiation applies to
-    // forward activations only.
     checkBackwardShapes(spec, eo, weights, ei);
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -673,8 +583,7 @@ DirectEngine::backwardWeights(const ConvSpec &spec, const Tensor &eo,
 {
     const std::int64_t batch = eo.shape()[0];
     checkActivation(spec, in, batch, spec.nc, spec.ny, spec.nx, "in");
-    if (eo.layout().blocked() ||
-        eo.shape() != Shape{batch, spec.nf, spec.outY(), spec.outX()})
+    if (eo.shape() != Shape{batch, spec.nf, spec.outY(), spec.outX()})
         panic("direct eo: shape %s does not match conv %s",
               eo.shape().str().c_str(), spec.str().c_str());
     checkWeights(spec, dweights);
@@ -692,7 +601,6 @@ DirectEngine::backwardWeights(const ConvSpec &spec, const Tensor &eo,
     // nothing to the pad rows of the gradient tiles).
     const std::int64_t plane = oyN * oxN;
     const float *eop = eo.data();
-    const bool in_blocked = in.layout().blocked();
     const float *inp = in.data();
     float *dwp = dweights.data();
 
@@ -745,22 +653,9 @@ DirectEngine::backwardWeights(const ConvSpec &spec, const Tensor &eo,
                             sizeof(float));
             for (std::int64_t b = 0; b < batch; ++b) {
                 const float *eo_blk = eob + b * eo_img + kp * plane * 16;
-                const float *base;
-                std::int64_t row_stride, x_stride, c_stride;
-                if (in_blocked) {
-                    base = inp + (b * cbn + cb) * ny * nx * kCB;
-                    row_stride = nx * kCB;
-                    x_stride = kCB;
-                    c_stride = 1;
-                } else {
-                    base = inp + (b * nc + cb * kCB) * ny * nx;
-                    row_stride = nx;
-                    x_stride = 1;
-                    c_stride = ny * nx;
-                }
-                directBpwRowZ<4>(eo_blk, base, row_stride, x_stride,
-                                 c_stride, oyN, oxN, fx, spec.sy,
-                                 spec.sx, ky, clive, dwbuf);
+                const float *base = inp + (b * nc + cb * kCB) * ny * nx;
+                directBpwRowZ<4>(eo_blk, base, nx, 1, ny * nx, oyN, oxN,
+                                 fx, spec.sy, spec.sx, ky, clive, dwbuf);
             }
             for (std::int64_t ko = 0; ko < klive; ++ko)
                 for (std::int64_t ci = 0; ci < clive; ++ci) {
@@ -819,22 +714,9 @@ DirectEngine::backwardWeights(const ConvSpec &spec, const Tensor &eo,
             for (std::int64_t b = 0; b < batch; ++b) {
                 const float *eo_blk =
                     eob + b * eo_img + kb * plane * kCB;
-                const float *base;
-                std::int64_t row_stride, x_stride, c_stride;
-                if (in_blocked) {
-                    base = inp + (b * cbn + cb) * ny * nx * kCB;
-                    row_stride = nx * kCB;
-                    x_stride = kCB;
-                    c_stride = 1;
-                } else {
-                    base = inp + (b * nc + cb * kCB) * ny * nx;
-                    row_stride = nx;
-                    x_stride = 1;
-                    c_stride = ny * nx;
-                }
-                directBpwRow<4>(eo_blk, base, row_stride, x_stride,
-                                c_stride, oyN, oxN, fx, spec.sy,
-                                spec.sx, ky, clive, dwbuf);
+                const float *base = inp + (b * nc + cb * kCB) * ny * nx;
+                directBpwRow<4>(eo_blk, base, nx, 1, ny * nx, oyN, oxN,
+                                fx, spec.sy, spec.sx, ky, clive, dwbuf);
             }
             for (std::int64_t ko = 0; ko < klive; ++ko)
                 for (std::int64_t ci = 0; ci < clive; ++ci) {

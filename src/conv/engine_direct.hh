@@ -1,20 +1,16 @@
 /**
  * @file
- * Direct register-tiled convolution over blocked NCHWc tensors.
+ * Direct register-tiled convolution with NCHWc staging.
  *
- * The engine the blocked layout exists for: no im2col and no GEMM
- * packing — the inner loops read activations in [C/8][H][W][8] order
- * and weights in [K/8][C/8][Fy][Fx][8c][8k] order, computing one
- * register tile of output per visit (see direct_block.hh for the tile
- * generators and the bit-for-bit contract with the reference loops).
- *
- * Operand layouts are negotiated per call: any of in (FP, BP-weights)
- * and out (FP) may arrive blocked (Layout::Nchwc) — produced/consumed
- * in place when adjacent layers also run direct — and are staged
- * through per-call blocked scratch otherwise. Error tensors are always
- * plain NCHW. When the tuner measures this engine with plain tensors
- * the staging conversions run inside the timed call, so conversion
- * cost is amortized into the engine decision automatically.
+ * No im2col and no GEMM packing: the engine takes and returns plain
+ * NCHW tensors like every other engine, and stages its operands per
+ * call into channel-blocked scratch — activations in [C/8][H][W][8]
+ * order, weights in [K/8][C/8][Fy][Fx][8c][8k] order — so the inner
+ * loops compute one register tile of output per visit (see
+ * direct_block.hh for the tile generators and the bit-for-bit
+ * contract with the reference loops). Error tensors stay plain NCHW.
+ * The staging runs inside every call, so the tuner's measurement of
+ * this engine already pays it.
  */
 
 #ifndef SPG_CONV_ENGINE_DIRECT_HH
@@ -33,11 +29,6 @@ class DirectEngine : public ConvEngine
 
     std::string name() const override { return "direct"; }
     bool supports(Phase) const override { return true; }
-
-    /** True when the register-tiled blocked loops are compiled in
-     *  (AVX2+FMA). Layout negotiation must not hand blocked tensors to
-     *  the portable fallback, which runs the plain NCHW reference. */
-    static bool blockedLayoutSupported();
 
     void forward(const ConvSpec &spec, const Tensor &in,
                  const Tensor &weights, Tensor &out, ThreadPool &pool,

@@ -3,13 +3,11 @@
 #include <cmath>
 #include <limits>
 
-#include "conv/engine_direct.hh"
 #include "conv/weight_plans.hh"
 #include "obs/metrics.hh"
 #include "obs/perfcnt.hh"
 #include "obs/trace.hh"
 #include "sparse/sparse_plan.hh"
-#include "tensor/blocked.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/timer.hh"
@@ -136,23 +134,6 @@ Tuner::measure(const ConvEngine &engine, Phase phase, const ConvSpec &spec,
         timing.seconds = timedWithPerf([&] {
             engine.forward(spec, in, weights, out, pool, epilogue);
         });
-        // The direct engine computes in NCHWc; measured with plain
-        // tensors, `seconds` already pays the boundary conversions.
-        // Time them separately too: a deployment that negotiates both
-        // edges blocked elides exactly this share, and retuneBp carries
-        // the number forward instead of re-measuring it.
-        if (timing.engine == "direct" &&
-            DirectEngine::blockedLayoutSupported()) {
-            timing.layout = "nchwc8";
-            Tensor bin(nchwcShape(batch, spec.nc, spec.ny, spec.nx));
-            Tensor bout(
-                nchwcShape(batch, spec.nf, spec.outY(), spec.outX()));
-            bout.setLayout(Layout::nchwc(spec.nf));
-            timing.convert_seconds = bestTimeSeconds(opts.reps, [&] {
-                nchwToNchwc(in, bin, pool);
-                nchwcToNchw(bout, out, pool);
-            });
-        }
         break;
       }
       case Phase::BackwardData: {
@@ -279,11 +260,9 @@ Tuner::retuneBp(const LayerPlan &previous, const ConvSpec &spec,
     LayerPlan plan;
     // FP carried forward: choice and measurements stay valid because
     // forward cost does not depend on the error-gradient sparsity.
-    // This includes each timing's layout and convert_seconds, so the
-    // conversion cost a deployed blocked edge elides is never
-    // re-measured on a sparsity-triggered re-tune. The weight
-    // sparsity the FP choice was tuned at is carried too — only a
-    // pruning step moves it, and that triggers a full tune instead.
+    // The weight sparsity the FP choice was tuned at is carried too —
+    // only a pruning step moves it, and that triggers a full tune
+    // instead.
     plan.fp_engine = previous.fp_engine;
     auto it = previous.timings.find(Phase::Forward);
     if (it != previous.timings.end())

@@ -41,14 +41,6 @@ struct EngineTiming
     /** Actual zero fraction of the weight tensor the measurement ran
      *  with — the sparsity axis of the FP crossover decision. */
     double weight_sparsity = 0;
-    /** Operand layout the engine computes in ("nchw" for everything
-     *  except the direct engine's "nchwc8"). */
-    std::string layout = "nchw";
-    /** Measured cost of the boundary layout conversions included in
-     *  `seconds` that deployment on a negotiated blocked edge elides
-     *  (direct FP only: input pack + output unpack). Cached in the
-     *  plan so retuneBp never re-measures it. */
-    double convert_seconds = 0;
     /** Pool schedule imbalance over the measurement: max/mean
      *  per-worker busy time (1.0 = perfectly balanced). */
     double imbalance = 1.0;

@@ -53,14 +53,6 @@ table2Layers(const std::string &benchmark)
     return out;
 }
 
-const std::vector<std::string> &
-table2Benchmarks()
-{
-    static const std::vector<std::string> names = {
-        "ImageNet-22K", "ImageNet-1K", "CIFAR-10", "MNIST"};
-    return names;
-}
-
 std::string
 cifar10NetConfigText()
 {

@@ -42,9 +42,6 @@ const std::vector<Table2Entry> &table2Layers();
 /** @return the Table 2 layers of one benchmark, in layer order. */
 std::vector<Table2Entry> table2Layers(const std::string &benchmark);
 
-/** Benchmark names in Table 2 / Fig. 8 order. */
-const std::vector<std::string> &table2Benchmarks();
-
 /**
  * @return the CIFAR-10 network description used by the end-to-end
  * Fig. 9 experiment: conv layers exactly as Table 2 (36->32 conv 5x5

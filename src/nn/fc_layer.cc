@@ -99,8 +99,6 @@ FcLayer::backward(const Tensor &in, const Tensor &, const Tensor &eo,
         // over the error tensor disappears.
         SPG_ASSERT(relu_mask.size() ==
                    static_cast<std::size_t>(eo.size()));
-        // Compare shapes: an empty Tensor reports size() 1, so a size
-        // test skips the allocation when batch * outputs is 1.
         if (masked_eo.shape() != eo.shape())
             masked_eo = Tensor::uninitialized(eo.shape());
         float *dst = masked_eo.data();

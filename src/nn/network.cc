@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "conv/engine_direct.hh"
 #include "obs/metrics.hh"
-#include "tensor/blocked.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 
@@ -124,11 +122,6 @@ Network::reserveBatch(std::int64_t max_batch)
 {
     SPG_ASSERT(max_batch >= 1);
     reserve_batch_ = std::max(reserve_batch_, max_batch);
-    std::vector<char> blocked = negotiateLayouts();
-    if (blocked != blocked_edges_) {
-        blocked_edges_ = std::move(blocked);
-        plan_batch_ = 0;  // shapes changed: re-plan the arena
-    }
     ensureBuffers(max_batch);
 }
 
@@ -160,7 +153,6 @@ Network::planArena(std::int64_t batch)
     struct Buf
     {
         Shape shape;
-        Layout layout;
         std::int64_t start = 0;
         std::int64_t end = 0;
         std::int64_t root = -1;  ///< alias target; -1 = self
@@ -171,15 +163,7 @@ Network::planArena(std::int64_t batch)
 
     for (std::int64_t i = 0; i < L; ++i) {
         Geometry og = layers[i]->outputGeometry();
-        if (i < static_cast<std::int64_t>(blocked_edges_.size()) &&
-            blocked_edges_[static_cast<std::size_t>(i)]) {
-            // Negotiated NCHWc edge: the slab holds the channel-blocked
-            // (padded) image; both endpoint engines consume it as-is.
-            bufs[i].shape = nchwcShape(batch, og.c, og.h, og.w);
-            bufs[i].layout = Layout::nchwc(og.c);
-        } else {
-            bufs[i].shape = Shape{batch, og.c, og.h, og.w};
-        }
+        bufs[i].shape = Shape{batch, og.c, og.h, og.w};
         bufs[i].start = i;
         std::int64_t end = i;
         if (i + 1 < L) {
@@ -298,16 +282,13 @@ Network::planArena(std::int64_t batch)
                                   static_cast<std::int64_t>(sizeof(float));
 
     // Record the per-buffer plan buildViews() rebuilds views from:
-    // per-image geometry + layout flag + resolved slot. Shapes are
+    // per-image geometry + resolved slot. Shapes are
     // linear in batch, so the same plan serves every batch <= ours.
     buf_plans_.resize(static_cast<std::size_t>(nbufs));
     for (std::int64_t b = 0; b < nbufs; ++b) {
         BufPlan &plan = buf_plans_[static_cast<std::size_t>(b)];
         if (b < L) {
             plan.geom = layers[b]->outputGeometry();
-            plan.blocked =
-                b < static_cast<std::int64_t>(blocked_edges_.size()) &&
-                blocked_edges_[static_cast<std::size_t>(b)];
         } else if (b == L) {
             plan.geom = input_geom;
         } else {
@@ -331,18 +312,9 @@ Network::buildViews(std::int64_t batch)
     errs.clear();
     auto viewOf = [&](std::int64_t b) {
         const BufPlan &plan = buf_plans_[static_cast<std::size_t>(b)];
-        // Slabs are cache-line (64-byte) aligned by construction; the
-        // blocked view constructor asserts that, as the direct engine's
-        // register tiles rely on it.
-        if (plan.blocked) {
-            return Tensor::view(
-                nchwcShape(batch, plan.geom.c, plan.geom.h, plan.geom.w),
-                arena_slabs[plan.slot].data(),
-                Layout::nchwc(plan.geom.c));
-        }
         return Tensor::view(
             Shape{batch, plan.geom.c, plan.geom.h, plan.geom.w},
-            arena_slabs[plan.slot].data(), Layout{});
+            arena_slabs[plan.slot].data());
     };
     for (std::int64_t i = 0; i < L; ++i)
         acts.push_back(viewOf(i));
@@ -361,11 +333,6 @@ Network::forward(const Tensor &images, ThreadPool &pool)
     if (images.shape() != want)
         fatal("network expects input %s, got %s", want.str().c_str(),
               images.shape().str().c_str());
-    std::vector<char> blocked = negotiateLayouts();
-    if (blocked != blocked_edges_) {
-        blocked_edges_ = std::move(blocked);
-        plan_batch_ = 0;  // shapes changed: re-plan the arena
-    }
     ensureBuffers(batch);
     SPG_TRACE_SCOPE_N("train", "forward", "batch", batch);
     const Tensor *in = &images;
@@ -433,26 +400,6 @@ Network::evalAccuracy(const Tensor &images, const std::vector<int> &labels,
     head->setLabels(labels);
     forward(images, pool);
     return head->accuracy();
-}
-
-std::vector<char>
-Network::negotiateLayouts() const
-{
-    const std::size_t L = layers.size();
-    std::vector<char> blocked(L, 0);
-    if (!DirectEngine::blockedLayoutSupported())
-        return blocked;
-    for (std::size_t i = 0; i + 1 < L; ++i) {
-        auto *prod = dynamic_cast<const ConvLayer *>(layers[i].get());
-        auto *cons = dynamic_cast<const ConvLayer *>(layers[i + 1].get());
-        if (prod == nullptr || cons == nullptr)
-            continue;
-        if (prod->engines().fp == "direct" &&
-            cons->engines().fp == "direct" &&
-            cons->engines().bp_weights == "direct")
-            blocked[i] = 1;
-    }
-    return blocked;
 }
 
 std::vector<ConvLayer *>

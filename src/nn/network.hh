@@ -126,20 +126,6 @@ class Network
     std::int64_t fusedPairs() const { return fused_pairs; }
 
     /**
-     * Inter-layer activation edges currently carried in the blocked
-     * NCHWc layout (negotiated: both sides run the direct engine, so
-     * the conversion nodes at the boundary are elided). Valid after
-     * the first forward()/trainStep() following an engine deployment.
-     */
-    std::int64_t blockedEdgeCount() const
-    {
-        std::int64_t n = 0;
-        for (char b : blocked_edges_)
-            n += b;
-        return n;
-    }
-
-    /**
      * Bytes of the liveness-planned activation arena backing the
      * inter-layer buffers (high-water mark of the interval packing).
      * Valid after the first forward()/trainStep() for a batch size.
@@ -181,14 +167,6 @@ class Network
     void planArena(std::int64_t batch);
     /** Rebuild acts/errs views at @p batch into the planned slabs. */
     void buildViews(std::int64_t batch);
-    /** Per-edge layout choice: blocked_edges_[i] != 0 means acts[i]
-     *  (output of layer i) lives in NCHWc. An edge goes blocked only
-     *  when producer and consumer are conv layers whose deployed FP
-     *  engines — and the consumer's BP-weights engine, which re-reads
-     *  the activation — are all "direct", so no engine ever needs the
-     *  plain layout and the boundary conversions are elided entirely.
-     *  Error tensors always stay NCHW. */
-    std::vector<char> negotiateLayouts() const;
 
     Geometry input_geom;
     std::vector<std::unique_ptr<Layer>> layers;
@@ -204,15 +182,13 @@ class Network
      *  batch <= plan_batch_ (shapes are linear in the batch extent). */
     struct BufPlan
     {
-        Geometry geom;        ///< per-image extents
-        bool blocked = false; ///< NCHWc slab (negotiated edge)
+        Geometry geom;  ///< per-image extents
         std::int64_t slot = 0;
     };
     std::vector<BufPlan> buf_plans_;  ///< acts then errs, root slots
     std::int64_t plan_batch_ = 0;  ///< batch the slots were sized for
     std::int64_t view_batch_ = 0;  ///< batch the current views carry
     std::int64_t reserve_batch_ = 0;
-    std::vector<char> blocked_edges_;
     std::int64_t fused_pairs = 0;
     std::int64_t arena_bytes_ = 0;
     std::int64_t arena_unplanned_bytes_ = 0;

@@ -503,7 +503,6 @@ Trainer::collectDriftSamples(
                     for (const EngineTiming &t : it->second) {
                         if (t.engine == sample.engine) {
                             sample.chunk_map = t.chunk_map;
-                            sample.layout = t.layout;
                             break;
                         }
                     }
@@ -550,7 +549,6 @@ Trainer::joinDrift(ThreadPool &pool)
         out.label = sample.label;
         out.phase = phaseName(sample.phase);
         out.engine = sample.engine;
-        out.layout = sample.layout;
         char region_buf[8];
         std::snprintf(
             region_buf, sizeof(region_buf), "R%d",

@@ -150,7 +150,6 @@ class Trainer
         ConvSpec spec;
         Phase phase;
         std::string engine;
-        std::string layout = "nchw";  ///< from the plan's EngineTiming
         double sparsity = 0;
         double weight_sparsity = 0;
         double measured_seconds = 0;  ///< per training step

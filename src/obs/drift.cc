@@ -177,8 +177,6 @@ DriftReport::toJson() const
         first = false;
         out += "{\"label\": \"" + s.label + "\", \"phase\": \"" +
                s.phase + "\", \"engine\": \"" + s.engine +
-               "\", \"layout\": \"" +
-               (s.layout.empty() ? "nchw" : s.layout) +
                "\", \"region\": \"" + s.region + "\"";
         std::snprintf(buf, sizeof(buf),
                       ", \"measured\": %.6g, \"modeled\": %.6g, "

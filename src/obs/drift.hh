@@ -31,7 +31,6 @@ struct DriftSample
     std::string label;   ///< layer name ("conv1")
     std::string phase;   ///< "FP" / "BP-data" / "BP-weights"
     std::string engine;  ///< engine that ran ("gemm-in-parallel")
-    std::string layout;  ///< operand layout it computed in ("nchw")
     std::string region;  ///< Fig. 1 region ("R2")
     double measured_seconds = 0;
     double modeled_seconds = 0;
@@ -111,7 +110,6 @@ class DriftReport
     void addScaling(ScalingRow row);
 
     const std::vector<DriftSample> &samples() const { return rows; }
-    const std::vector<EpochEnergy> &epochEnergy() const { return energy; }
     const std::vector<ScalingRow> &scaling() const { return scaling_; }
     bool empty() const { return rows.empty(); }
 

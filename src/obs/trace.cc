@@ -367,18 +367,6 @@ tracePoint(char ph, const char *cat, const char *name, std::int64_t id)
 } // namespace
 
 void
-traceBegin(const char *cat, const char *name)
-{
-    tracePoint('B', cat, name, 0);
-}
-
-void
-traceEnd(const char *cat, const char *name)
-{
-    tracePoint('E', cat, name, 0);
-}
-
-void
 traceAsyncBegin(const char *cat, const char *name, std::int64_t id)
 {
     tracePoint('b', cat, name, id);

@@ -221,10 +221,6 @@ void traceComplete(const char *cat, const char *name,
                    const char *arg1_name = nullptr, std::int64_t arg1 = 0,
                    const char *arg2_name = nullptr, std::int64_t arg2 = 0);
 
-/** Explicit begin/end pair ("B"/"E") on the calling thread's lane. */
-void traceBegin(const char *cat, const char *name);
-void traceEnd(const char *cat, const char *name);
-
 /** Async span ("b"/"e"): ends may arrive on a different thread; the
  *  id ties the pair together in the viewer. */
 void traceAsyncBegin(const char *cat, const char *name, std::int64_t id);

@@ -104,8 +104,8 @@ class Server
      * the one-time costs: run the serving-mode tuner (per conv layer,
      * per batch bucket), reserve each replica's activation arena at
      * max_batch, and run one forward per bucket per instance to warm
-     * the weight-plan / sparse-plan caches and the negotiated
-     * layouts. Call after loadWeights() and before start().
+     * the weight-plan / sparse-plan caches. Call after loadWeights()
+     * and before start().
      */
     void warmup();
 

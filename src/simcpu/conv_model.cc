@@ -298,10 +298,8 @@ modelConvPhase(const MachineModel &machine, const ConvSpec &spec,
     if (engine == "direct") {
         // Blocked NCHWc register-tiled engine. Channel tails are
         // padded to the 8-lane block, so the executed FLOPs carry the
-        // pad ratio; the staging conversions at the layer boundary are
-        // charged too, matching how the tuner measures the engine on
-        // plain tensors (a negotiated blocked edge elides the FP
-        // pack/unpack share at deployment).
+        // pad ratio; the per-call staging conversions are charged too,
+        // as the engine pays them on every call.
         const double blk = 8.0;
         double cbn = std::ceil(static_cast<double>(spec.nc) / blk);
         double kbn = std::ceil(static_cast<double>(spec.nf) / blk);

@@ -57,19 +57,4 @@ MachineModel::hostCalibrated(double measured_gemm_gflops,
     return m;
 }
 
-ClusterLink
-ClusterLink::tenGbE()
-{
-    return ClusterLink{};
-}
-
-ClusterLink
-ClusterLink::hundredGbE()
-{
-    ClusterLink link;
-    link.bandwidth_gbs = 12.5;
-    link.latency_s = 5e-6;
-    return link;
-}
-
 } // namespace spg

@@ -145,12 +145,6 @@ struct ClusterLink
     {
         return latency_s + bytes / (bandwidth_gbs * 1e9);
     }
-
-    /** 10 GbE datacenter link (DistBelief/Adam-era clusters). */
-    static ClusterLink tenGbE();
-
-    /** 100 GbE link (a modern training pod). */
-    static ClusterLink hundredGbE();
 };
 
 } // namespace spg

@@ -3,16 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/logging.hh"
 
 namespace spg {
-
-Shape
-nchwcShape(std::int64_t batch, std::int64_t channels, std::int64_t ny,
-           std::int64_t nx, std::int64_t block)
-{
-    return Shape{batch, blockCount(channels, block), ny, nx * block};
-}
 
 Shape
 kcrsckShape(std::int64_t nf, std::int64_t nc, std::int64_t fy,
@@ -87,22 +79,6 @@ unpackImageBlockNchwc(const float *src, float *dst, std::int64_t c,
 }
 
 void
-packImageNchwc(const float *src, float *dst, std::int64_t c,
-               std::int64_t ny, std::int64_t nx, std::int64_t block)
-{
-    for (std::int64_t cb = 0; cb < blockCount(c, block); ++cb)
-        packImageBlockNchwc(src, dst, c, ny, nx, block, cb);
-}
-
-void
-unpackImageNchwc(const float *src, float *dst, std::int64_t c,
-                 std::int64_t ny, std::int64_t nx, std::int64_t block)
-{
-    for (std::int64_t cb = 0; cb < blockCount(c, block); ++cb)
-        unpackImageBlockNchwc(src, dst, c, ny, nx, block, cb);
-}
-
-void
 packWeightBlockKcrsck(const float *w, float *dst, std::int64_t nf,
                       std::int64_t nc, std::int64_t fy, std::int64_t fx,
                       std::int64_t block, std::int64_t kb,
@@ -145,186 +121,6 @@ packWeightBlockCfrsc(const float *w, float *dst, std::int64_t nf,
             d += block;
         }
     }
-}
-
-void
-packWeightsKcrsck(const float *w, float *dst, std::int64_t nf,
-                  std::int64_t nc, std::int64_t fy, std::int64_t fx,
-                  std::int64_t block)
-{
-    for (std::int64_t kb = 0; kb < blockCount(nf, block); ++kb)
-        for (std::int64_t cb = 0; cb < blockCount(nc, block); ++cb)
-            packWeightBlockKcrsck(w, dst, nf, nc, fy, fx, block, kb, cb);
-}
-
-void
-unpackWeightsKcrsck(const float *src, float *w, std::int64_t nf,
-                    std::int64_t nc, std::int64_t fy, std::int64_t fx,
-                    std::int64_t block)
-{
-    const std::int64_t taps = fy * fx;
-    const std::int64_t cbn = blockCount(nc, block);
-    for (std::int64_t k = 0; k < nf; ++k) {
-        const std::int64_t kb = k / block, ko = k % block;
-        for (std::int64_t c = 0; c < nc; ++c) {
-            const std::int64_t cb = c / block, ci = c % block;
-            const float *s = src +
-                             (kb * cbn + cb) * taps * block * block +
-                             ci * block + ko;
-            float *d = w + (k * nc + c) * taps;
-            for (std::int64_t t = 0; t < taps; ++t)
-                d[t] = s[t * block * block];
-        }
-    }
-}
-
-void
-packWeightsCfrsc(const float *w, float *dst, std::int64_t nf,
-                 std::int64_t nc, std::int64_t fy, std::int64_t fx,
-                 std::int64_t block)
-{
-    for (std::int64_t cb = 0; cb < blockCount(nc, block); ++cb)
-        packWeightBlockCfrsc(w, dst, nf, nc, fy, fx, block, cb);
-}
-
-void
-nchwToNchwc(const Tensor &src, Tensor &dst, ThreadPool &pool,
-            std::int64_t block)
-{
-    const Shape &s = src.shape();
-    if (s.rank() != 4 || src.layout().blocked())
-        panic("nchwToNchwc wants a rank-4 NCHW tensor, got %s (%s)",
-              s.str().c_str(), src.layout().str().c_str());
-    const std::int64_t batch = s[0], c = s[1], ny = s[2], nx = s[3];
-    if (dst.shape() != nchwcShape(batch, c, ny, nx, block))
-        panic("nchwToNchwc destination shape %s != expected %s",
-              dst.shape().str().c_str(),
-              nchwcShape(batch, c, ny, nx, block).str().c_str());
-    const std::int64_t cbn = blockCount(c, block);
-    const std::int64_t img_in = c * ny * nx;
-    const std::int64_t img_out = cbn * ny * nx * block;
-    const float *sp = src.data();
-    float *dp = dst.data();
-    pool.parallelForDynamic(
-        batch * cbn,
-        [&](std::int64_t i, int) {
-            packImageBlockNchwc(sp + (i / cbn) * img_in,
-                                dp + (i / cbn) * img_out, c, ny, nx,
-                                block, i % cbn);
-        },
-        1);
-    dst.setLayout(Layout::nchwc(c, static_cast<std::int32_t>(block)));
-}
-
-Tensor
-nchwToNchwc(const Tensor &src, ThreadPool &pool, std::int64_t block)
-{
-    const Shape &s = src.shape();
-    Tensor dst = Tensor::uninitialized(
-        nchwcShape(s[0], s[1], s[2], s[3], block));
-    nchwToNchwc(src, dst, pool, block);
-    return dst;
-}
-
-void
-nchwcToNchw(const Tensor &src, Tensor &dst, ThreadPool &pool)
-{
-    const Layout &l = src.layout();
-    if (!l.blocked() || l.features != 0)
-        panic("nchwcToNchw wants a blocked activation tensor, got %s",
-              l.str().c_str());
-    const Shape &s = src.shape();
-    const std::int64_t block = l.block;
-    const std::int64_t batch = s[0], cbn = s[1], ny = s[2],
-                       nx = s[3] / block;
-    const std::int64_t c = l.channels;
-    if (dst.shape() != Shape{batch, c, ny, nx})
-        panic("nchwcToNchw destination shape %s != expected %s",
-              dst.shape().str().c_str(),
-              Shape{batch, c, ny, nx}.str().c_str());
-    const std::int64_t img_in = cbn * ny * nx * block;
-    const std::int64_t img_out = c * ny * nx;
-    const float *sp = src.data();
-    float *dp = dst.data();
-    pool.parallelForDynamic(
-        batch * cbn,
-        [&](std::int64_t i, int) {
-            unpackImageBlockNchwc(sp + (i / cbn) * img_in,
-                                  dp + (i / cbn) * img_out, c, ny, nx,
-                                  block, i % cbn);
-        },
-        1);
-    dst.setLayout(Layout::nchw());
-}
-
-Tensor
-nchwcToNchw(const Tensor &src, ThreadPool &pool)
-{
-    const Layout &l = src.layout();
-    const Shape &s = src.shape();
-    Tensor dst = Tensor::uninitialized(
-        Shape{s[0], l.channels, s[2], s[3] / l.block});
-    nchwcToNchw(src, dst, pool);
-    return dst;
-}
-
-Tensor
-kcrsToKcrsck(const Tensor &w, ThreadPool &pool, std::int64_t block)
-{
-    const Shape &s = w.shape();
-    if (s.rank() != 4 || w.layout().blocked())
-        panic("kcrsToKcrsck wants rank-4 KCRS weights, got %s (%s)",
-              s.str().c_str(), w.layout().str().c_str());
-    const std::int64_t nf = s[0], nc = s[1], fy = s[2], fx = s[3];
-    Tensor dst =
-        Tensor::uninitialized(kcrsckShape(nf, nc, fy, fx, block));
-    const std::int64_t cbn = blockCount(nc, block);
-    const float *sp = w.data();
-    float *dp = dst.data();
-    pool.parallelForDynamic(
-        blockCount(nf, block) * cbn,
-        [&](std::int64_t i, int) {
-            packWeightBlockKcrsck(sp, dp, nf, nc, fy, fx, block,
-                                  i / cbn, i % cbn);
-        },
-        1);
-    dst.setLayout(
-        Layout::kcrsck(nf, nc, static_cast<std::int32_t>(block)));
-    return dst;
-}
-
-Tensor
-kcrsckToKcrs(const Tensor &w, ThreadPool &pool)
-{
-    const Layout &l = w.layout();
-    if (!l.blocked() || l.features == 0)
-        panic("kcrsckToKcrs wants blocked KCRSck weights, got %s",
-              l.str().c_str());
-    const Shape &s = w.shape();
-    const std::int64_t block = l.block;
-    const std::int64_t nf = l.features, nc = l.channels, fy = s[2],
-                       fx = s[3] / (block * block);
-    Tensor dst = Tensor::uninitialized(Shape{nf, nc, fy, fx});
-    const std::int64_t cbn = blockCount(nc, block);
-    const std::int64_t taps = fy * fx;
-    const float *sp = w.data();
-    float *dp = dst.data();
-    pool.parallelForDynamic(
-        nf,
-        [&](std::int64_t k, int) {
-            const std::int64_t kb = k / block, ko = k % block;
-            for (std::int64_t c = 0; c < nc; ++c) {
-                const std::int64_t cb = c / block, ci = c % block;
-                const float *src_row =
-                    sp + (kb * cbn + cb) * taps * block * block +
-                    ci * block + ko;
-                float *d = dp + (k * nc + c) * taps;
-                for (std::int64_t t = 0; t < taps; ++t)
-                    d[t] = src_row[t * block * block];
-            }
-        },
-        1);
-    return dst;
 }
 
 } // namespace spg

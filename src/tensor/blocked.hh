@@ -1,24 +1,18 @@
 /**
  * @file
- * NCHWc / KCRSck blocked-layout conversion kernels.
+ * NCHWc / KCRSck staging kernels of the direct convolution engine.
  *
- * The direct convolution engine (src/conv/engine_direct) consumes
- * channel-blocked tensors: activations as [B][C/c][H][W][c] and
- * weights as [K/c][C/c][Fy][Fx][c_in][c_out], with c = kChannelBlock
- * chosen so one channel group fills one vector register (8 floats for
- * AVX2). Partial trailing blocks are zero-padded — the pad lanes carry
- * zero weights, so they contribute exact +-0 terms and never perturb a
+ * The direct engine (src/conv/engine_direct) takes and returns plain
+ * NCHW tensors and stages its operands, per call, into channel-blocked
+ * scratch: activations as [C/c][H][W][c] per image and weights as
+ * [K/c][C/c][Fy][Fx][c_in][c_out], with c = kChannelBlock chosen so
+ * one channel group fills one vector register (8 floats for AVX2).
+ * Partial trailing blocks are zero-padded — the pad lanes carry zero
+ * weights, so they contribute exact +-0 terms and never perturb a
  * bit-for-bit comparison against the plain NCHW reference loops.
  *
- * Within the rank-4 Shape convention the blocked shapes are declared
- * as {B, ceil(C/c), H, W*c} and {ceil(K/c), ceil(C/c), Fy, Fx*c*c};
- * row-major order over those shapes is exactly the blocked memory
- * order (see Layout in tensor/tensor.hh).
- *
- * The Tensor-level converters parallelize over the fork-join pool and
- * are the ones the tuner times when amortizing conversion cost into an
- * engine decision. The raw per-image/per-block kernels are exposed for
- * the engine's internal staging paths.
+ * Every kernel here converts one block, the unit the engine's staging
+ * fans out over the pool.
  */
 
 #ifndef SPG_TENSOR_BLOCKED_HH
@@ -31,13 +25,12 @@
 #endif
 
 #include "tensor/tensor.hh"
-#include "threading/thread_pool.hh"
 
 namespace spg {
 
 #if defined(__AVX2__)
 /** In-register 8x8 float transpose: r[i][j] <- r[j][i]. The NCHW <->
- *  NCHWc converters are pure 8-channel transposes of each 8-pixel
+ *  NCHWc staging kernels are pure 8-channel transposes of each 8-pixel
  *  strip, so this turns their strided scalar gathers into shuffles. */
 inline void
 transpose8x8Ps(__m256 r[8])
@@ -80,104 +73,42 @@ blockCount(std::int64_t channels, std::int64_t block = kChannelBlock)
     return (channels + block - 1) / block;
 }
 
-/** Physical shape of a blocked activation tensor [B][C/c][H][W][c]. */
-Shape nchwcShape(std::int64_t batch, std::int64_t channels,
-                 std::int64_t ny, std::int64_t nx,
-                 std::int64_t block = kChannelBlock);
-
-/** Physical shape of blocked weights [K/c][C/c][Fy][Fx][c][c]. */
+/** Shape of blocked weights [K/c][C/c][Fy][Fx][c][c], declared as
+ *  {ceil(K/c), ceil(C/c), Fy, Fx*c*c} so row-major order over it is
+ *  the blocked memory order. */
 Shape kcrsckShape(std::int64_t nf, std::int64_t nc, std::int64_t fy,
                   std::int64_t fx, std::int64_t block = kChannelBlock);
 
-/**
- * Pack one image CHW -> C/c,H,W,c. @p dst holds
- * blockCount(c) * ny * nx * block floats; pad lanes are zeroed.
- */
-void packImageNchwc(const float *src, float *dst, std::int64_t c,
-                    std::int64_t ny, std::int64_t nx, std::int64_t block);
-
-/** Unpack one image C/c,H,W,c -> CHW (pad lanes dropped). */
-void unpackImageNchwc(const float *src, float *dst, std::int64_t c,
-                      std::int64_t ny, std::int64_t nx,
-                      std::int64_t block);
-
-/** Pack just channel block @p cb of one image (the parallel unit the
- *  pool-level converters and the direct engine's staging fan out
- *  over). @p src / @p dst are whole-image base pointers. */
+/** Pack channel block @p cb of one image CHW -> C/c,H,W,c; the
+ *  block's pad lanes are zeroed. @p src / @p dst are whole-image base
+ *  pointers; @p dst holds blockCount(c) * ny * nx * block floats. */
 void packImageBlockNchwc(const float *src, float *dst, std::int64_t c,
                          std::int64_t ny, std::int64_t nx,
                          std::int64_t block, std::int64_t cb);
 
-/** Unpack just channel block @p cb of one image. */
+/** Unpack channel block @p cb of one image C/c,H,W,c -> CHW (pad
+ *  lanes dropped). */
 void unpackImageBlockNchwc(const float *src, float *dst, std::int64_t c,
                            std::int64_t ny, std::int64_t nx,
                            std::int64_t block, std::int64_t cb);
 
-/** Pack just the (kb, cb) block of KCRSck weights; whole-array base
- *  pointers. */
+/** Pack the (kb, cb) block of KCRS weights into KCRSck, pad lanes
+ *  (channel and feature tails) zeroed. @p w / @p dst are whole-array
+ *  base pointers; @p dst holds kcrsckShape(...).elements() floats. */
 void packWeightBlockKcrsck(const float *w, float *dst, std::int64_t nf,
                            std::int64_t nc, std::int64_t fy,
                            std::int64_t fx, std::int64_t block,
                            std::int64_t kb, std::int64_t cb);
 
-/** Pack just channel block @p cb of the BP-data gather layout. */
+/** Pack channel block @p cb of KCRS weights into the BP-data gather
+ *  layout [C/c][K][Fy][Fx][ci]: for a fixed input-channel block the
+ *  kernel walks features and taps with one contiguous vector of
+ *  input-channel lanes per tap, pad lanes zeroed. @p dst holds
+ *  blockCount(nc) * nf * fy * fx * block floats. */
 void packWeightBlockCfrsc(const float *w, float *dst, std::int64_t nf,
                           std::int64_t nc, std::int64_t fy,
                           std::int64_t fx, std::int64_t block,
                           std::int64_t cb);
-
-/**
- * Pack weights KCRS -> KCRSck: dst[k/c][c/c][ky][kx][ci][ko], pad
- * lanes (both channel and feature tails) zeroed. @p dst holds
- * kcrsckShape(...).elements() floats.
- */
-void packWeightsKcrsck(const float *w, float *dst, std::int64_t nf,
-                       std::int64_t nc, std::int64_t fy, std::int64_t fx,
-                       std::int64_t block);
-
-/** Unpack KCRSck -> KCRS (pad lanes dropped). */
-void unpackWeightsKcrsck(const float *src, float *w, std::int64_t nf,
-                         std::int64_t nc, std::int64_t fy,
-                         std::int64_t fx, std::int64_t block);
-
-/**
- * Pack weights KCRS -> the BP-data gather layout
- * [C/c][K][Fy][Fx][ci]: for a fixed input-channel block the kernel
- * walks features and taps with one contiguous vector of input-channel
- * lanes per tap. @p dst holds blockCount(nc) * nf * fy * fx * block
- * floats; pad lanes zeroed.
- */
-void packWeightsCfrsc(const float *w, float *dst, std::int64_t nf,
-                      std::int64_t nc, std::int64_t fy, std::int64_t fx,
-                      std::int64_t block);
-
-/**
- * Convert a batched activation tensor NCHW -> NCHWc on the pool.
- * @p dst must have nchwcShape(...) and is tagged Layout::nchwc.
- */
-void nchwToNchwc(const Tensor &src, Tensor &dst, ThreadPool &pool,
-                 std::int64_t block = kChannelBlock);
-
-/** Allocating variant of nchwToNchwc. */
-Tensor nchwToNchwc(const Tensor &src, ThreadPool &pool,
-                   std::int64_t block = kChannelBlock);
-
-/**
- * Convert a batched activation tensor NCHWc -> NCHW on the pool. The
- * logical channel count comes from src.layout().
- */
-void nchwcToNchw(const Tensor &src, Tensor &dst, ThreadPool &pool);
-
-/** Allocating variant of nchwcToNchw (spatial extents are recovered
- *  from the physical shape and the layout tag). */
-Tensor nchwcToNchw(const Tensor &src, ThreadPool &pool);
-
-/** Convert weights KCRS -> KCRSck on the pool (allocating). */
-Tensor kcrsToKcrsck(const Tensor &w, ThreadPool &pool,
-                    std::int64_t block = kChannelBlock);
-
-/** Convert weights KCRSck -> KCRS on the pool (allocating). */
-Tensor kcrsckToKcrs(const Tensor &w, ThreadPool &pool);
 
 } // namespace spg
 

@@ -26,6 +26,8 @@ Shape::Shape(std::initializer_list<std::int64_t> extents)
 std::int64_t
 Shape::elements() const
 {
+    if (rank_ == 0)
+        return 0;
     std::int64_t n = 1;
     for (int i = 0; i < 4; ++i)
         n *= dims[i];
@@ -41,8 +43,10 @@ Shape::operator==(const Shape &other) const
 std::string
 Shape::str() const
 {
+    if (rank_ == 0)
+        return "empty";
     std::string out;
-    for (int i = 0; i < std::max(rank_, 1); ++i) {
+    for (int i = 0; i < rank_; ++i) {
         if (i)
             out += "x";
         out += std::to_string(dims[i]);
@@ -78,24 +82,9 @@ Tensor::view(Shape shape, float *data)
 }
 
 Tensor
-Tensor::view(Shape shape, float *data, Layout layout)
-{
-    if (layout.blocked() &&
-        (reinterpret_cast<std::uintptr_t>(data) & 63u) != 0) {
-        panic("blocked tensor view %s must be 64-byte aligned "
-              "(got %p)",
-              shape.str().c_str(), static_cast<void *>(data));
-    }
-    Tensor t = view(shape, data);
-    t.layout_ = layout;
-    return t;
-}
-
-Tensor
 Tensor::clone() const
 {
     Tensor copy = Tensor::uninitialized(shape_);
-    copy.layout_ = layout_;
     std::copy(data(), data() + size(), copy.data());
     return copy;
 }

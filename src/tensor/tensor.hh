@@ -27,7 +27,10 @@ namespace spg {
 
 class ThreadPool;
 
-/** Shape of a tensor: up to four extents, unused extents are 1. */
+/**
+ * Shape of a tensor: up to four extents, unused extents are 1. The
+ * default Shape has rank 0 and no elements (an empty Tensor).
+ */
 class Shape
 {
   public:
@@ -36,92 +39,24 @@ class Shape
     /** Construct from 1..4 extents. */
     Shape(std::initializer_list<std::int64_t> extents);
 
-    /** @return number of declared dimensions (1..4). */
+    /** @return number of declared dimensions (1..4; 0 when empty). */
     int rank() const { return rank_; }
 
     /** @return extent of dimension i (0-based). */
     std::int64_t operator[](int i) const { return dims[i]; }
 
-    /** @return product of all extents. */
+    /** @return product of all extents; 0 for the empty rank-0 Shape. */
     std::int64_t elements() const;
 
     bool operator==(const Shape &other) const;
     bool operator!=(const Shape &other) const { return !(*this == other); }
 
-    /** @return "AxBxC" style rendering for messages. */
+    /** @return "AxBxC" style rendering ("empty" at rank 0). */
     std::string str() const;
 
   private:
     std::array<std::int64_t, 4> dims;
     int rank_;
-};
-
-/**
- * Physical memory layout tag for a tensor.
- *
- * Most tensors are plain NCHW (the default tag carries no extra
- * information). The direct convolution engine works on channel-blocked
- * tensors instead:
- *
- *  - Nchwc activations: logically [B][C][H][W], stored as
- *    [B][ceil(C/c)][H][W][c] with the trailing partial channel block
- *    zero-padded. Within the rank-4 Shape convention this is declared
- *    as {B, ceil(C/c), H, W*c} — row-major order over that shape is
- *    exactly the 5-D blocked order, so Shape::elements() is the
- *    physical (padded) element count.
- *  - Nchwc weights (KCRSck): logically [K][C][Fy][Fx], stored as
- *    [ceil(K/c)][ceil(C/c)][Fy][Fx][c_in][c_out], declared as
- *    {ceil(K/c), ceil(C/c), Fy, Fx*c*c}. Tagged with features = K.
- *
- * The tag records the logical channel/feature counts so conversions can
- * recover the unpadded tensor; blocked() distinguishes the two worlds
- * at engine boundaries.
- */
-struct Layout
-{
-    enum class Kind : unsigned char
-    {
-        Nchw,  ///< plain row-major over the declared shape
-        Nchwc  ///< channel-blocked; see struct comment
-    };
-
-    Kind kind = Kind::Nchw;
-    std::int32_t block = 0;     ///< channel block width c (Nchwc only)
-    std::int64_t channels = 0;  ///< logical channel count C (Nchwc only)
-    std::int64_t features = 0;  ///< logical feature count K (blocked
-                                ///< weights only; 0 for activations)
-
-    bool blocked() const { return kind == Kind::Nchwc; }
-
-    static Layout nchw() { return Layout{}; }
-
-    static Layout
-    nchwc(std::int64_t channels, std::int32_t block = 8)
-    {
-        return Layout{Kind::Nchwc, block, channels, 0};
-    }
-
-    static Layout
-    kcrsck(std::int64_t features, std::int64_t channels,
-           std::int32_t block = 8)
-    {
-        return Layout{Kind::Nchwc, block, channels, features};
-    }
-
-    bool
-    operator==(const Layout &o) const
-    {
-        return kind == o.kind && block == o.block &&
-               channels == o.channels && features == o.features;
-    }
-    bool operator!=(const Layout &o) const { return !(*this == o); }
-
-    /** @return "nchw" or "nchwc<block>" for reports. */
-    std::string
-    str() const
-    {
-        return blocked() ? "nchwc" + std::to_string(block) : "nchw";
-    }
 };
 
 /**
@@ -152,13 +87,6 @@ class Tensor
      */
     static Tensor view(Shape shape, float *data);
 
-    /**
-     * A non-owning view carrying a layout tag. Blocked views must be
-     * 64-byte aligned (the direct engine issues aligned vector loads
-     * against blocked slabs); panics otherwise.
-     */
-    static Tensor view(Shape shape, float *data, Layout layout);
-
     Tensor(Tensor &&) = default;
     Tensor &operator=(Tensor &&) = default;
     Tensor(const Tensor &) = delete;
@@ -169,12 +97,6 @@ class Tensor
 
     const Shape &shape() const { return shape_; }
     std::int64_t size() const { return shape_.elements(); }
-
-    /** @return the physical layout tag (Nchw unless explicitly set). */
-    const Layout &layout() const { return layout_; }
-
-    /** Tag this tensor's layout (shape is already the physical shape). */
-    void setLayout(Layout layout) { layout_ = layout; }
 
     float *data() { return view_ ? view_ : buffer.data(); }
     const float *data() const { return view_ ? view_ : buffer.data(); }
@@ -229,7 +151,6 @@ class Tensor
 
   private:
     Shape shape_;
-    Layout layout_;
     AlignedBuffer<float> buffer;
     float *view_ = nullptr;  ///< when set, storage is external
 };

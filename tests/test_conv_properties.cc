@@ -261,42 +261,44 @@ TEST_P(ConvProperty, RepeatedCallsAreIdentical)
 }
 
 // ---------------------------------------------------------------------
-// Blocked NCHWc layout: conversions are pure data movement, so a
-// round-trip must reproduce the original tensor bit for bit — in
-// particular across partial trailing channel blocks.
+// The direct engine's NCHWc staging kernels are pure data movement, so
+// packing every block and unpacking it again must reproduce the
+// original bit for bit — in particular across partial trailing channel
+// blocks, whose pad lanes must come out exactly +0.
 // ---------------------------------------------------------------------
 
 TEST(BlockedLayout, ActivationRoundTripIsExactForOddChannels)
 {
-    ThreadPool pool(3);
     Rng rng(7001);
+    const std::int64_t ny = 5, nx = 6, plane = ny * nx;
     for (std::int64_t c : {1, 3, 5, 7, 8, 9, 16, 17, 23}) {
-        Tensor x(Shape{2, c, 5, 6});
-        x.fillUniform(rng);
-        Tensor blocked = nchwToNchwc(x, pool);
-        EXPECT_TRUE(blocked.layout().blocked());
-        EXPECT_EQ(blocked.layout().channels, c);
-        EXPECT_EQ(blocked.shape(), nchwcShape(2, c, 5, 6));
-        // Pad lanes of a partial tail block must be exactly zero.
-        if (c % kChannelBlock != 0) {
-            const std::int64_t live = c % kChannelBlock;
-            const std::int64_t cbn = blockCount(c);
-            for (std::int64_t b = 0; b < 2; ++b)
-                for (std::int64_t p = 0; p < 5 * 6; ++p)
-                    for (std::int64_t ci = live; ci < kChannelBlock;
-                         ++ci) {
-                        std::int64_t idx =
-                            (((b * cbn + cbn - 1) * 5 * 6) + p) *
-                                kChannelBlock +
-                            ci;
-                        ASSERT_EQ(blocked[idx], 0.0f) << c;
-                    }
-        }
-        Tensor back = nchwcToNchw(blocked, pool);
-        ASSERT_EQ(back.shape(), x.shape()) << c;
+        const std::int64_t cbn = blockCount(c);
+        std::vector<float> x(static_cast<std::size_t>(c * plane));
+        for (float &v : x)
+            v = rng.uniform(-1.0f, 1.0f);
+        // Poisoned destinations: every byte must be written.
+        std::vector<float> blocked(
+            static_cast<std::size_t>(cbn * plane * kChannelBlock),
+            1e30f);
+        for (std::int64_t cb = 0; cb < cbn; ++cb)
+            packImageBlockNchwc(x.data(), blocked.data(), c, ny, nx,
+                                kChannelBlock, cb);
+        const std::int64_t tail_live = c - (cbn - 1) * kChannelBlock;
+        for (std::int64_t p = 0; p < plane; ++p)
+            for (std::int64_t ci = tail_live; ci < kChannelBlock; ++ci) {
+                const float pad = blocked[static_cast<std::size_t>(
+                    ((cbn - 1) * plane + p) * kChannelBlock + ci)];
+                const float zero = 0.0f;
+                ASSERT_EQ(std::memcmp(&pad, &zero, sizeof(float)), 0)
+                    << "channels=" << c << " pixel " << p << " lane "
+                    << ci;
+            }
+        std::vector<float> back(x.size(), 1e30f);
+        for (std::int64_t cb = 0; cb < cbn; ++cb)
+            unpackImageBlockNchwc(blocked.data(), back.data(), c, ny, nx,
+                                  kChannelBlock, cb);
         EXPECT_EQ(std::memcmp(back.data(), x.data(),
-                              static_cast<std::size_t>(x.size()) *
-                                  sizeof(float)),
+                              x.size() * sizeof(float)),
                   0)
             << "channels=" << c;
     }
@@ -304,33 +306,62 @@ TEST(BlockedLayout, ActivationRoundTripIsExactForOddChannels)
 
 TEST(BlockedLayout, WeightRoundTripIsExactForOddCounts)
 {
-    ThreadPool pool(3);
     Rng rng(7002);
+    const std::int64_t fy = 3, fx = 3, taps = fy * fx;
+    const std::int64_t blk = kChannelBlock;
     for (auto [nf, nc] : {std::pair<std::int64_t, std::int64_t>{1, 1},
                           {3, 7},
                           {8, 8},
                           {9, 17},
                           {16, 5},
                           {17, 16}}) {
-        Tensor w(Shape{nf, nc, 3, 3});
-        w.fillUniform(rng);
-        Tensor blocked = kcrsToKcrsck(w, pool);
-        EXPECT_EQ(blocked.layout().features, nf);
-        EXPECT_EQ(blocked.layout().channels, nc);
-        Tensor back = kcrsckToKcrs(blocked, pool);
-        ASSERT_EQ(back.shape(), w.shape());
+        const std::int64_t kbn = blockCount(nf), cbn = blockCount(nc);
+        std::vector<float> w(static_cast<std::size_t>(nf * nc * taps));
+        for (float &v : w)
+            v = rng.uniform(-1.0f, 1.0f);
+        std::vector<float> blocked(
+            static_cast<std::size_t>(
+                kcrsckShape(nf, nc, fy, fx).elements()),
+            1e30f);
+        for (std::int64_t kb = 0; kb < kbn; ++kb)
+            for (std::int64_t cb = 0; cb < cbn; ++cb)
+                packWeightBlockKcrsck(w.data(), blocked.data(), nf, nc, fy,
+                                      fx, blk, kb, cb);
+        // Read KCRSck [K/8][C/8][Fy][Fx][8ci][8ko] back into KCRS; every
+        // element not read back is a pad lane and must be +0.
+        std::vector<float> back(w.size(), 1e30f);
+        std::vector<char> live(blocked.size(), 0);
+        for (std::int64_t k = 0; k < nf; ++k)
+            for (std::int64_t c = 0; c < nc; ++c)
+                for (std::int64_t t = 0; t < taps; ++t) {
+                    const std::size_t at = static_cast<std::size_t>(
+                        (((k / blk) * cbn + c / blk) * taps + t) * blk *
+                            blk +
+                        (c % blk) * blk + k % blk);
+                    back[static_cast<std::size_t>((k * nc + c) * taps +
+                                                  t)] = blocked[at];
+                    live[at] = 1;
+                }
         EXPECT_EQ(std::memcmp(back.data(), w.data(),
-                              static_cast<std::size_t>(w.size()) *
-                                  sizeof(float)),
+                              w.size() * sizeof(float)),
                   0)
             << nf << "x" << nc;
+        const float zero = 0.0f;
+        for (std::size_t i = 0; i < blocked.size(); ++i) {
+            if (!live[i]) {
+                ASSERT_EQ(std::memcmp(&blocked[i], &zero, sizeof(float)),
+                          0)
+                    << nf << "x" << nc << " pad element " << i;
+            }
+        }
     }
 }
 
 // ---------------------------------------------------------------------
 // Direct engine: bit-for-bit against the reference on (spatially
 // reduced) Table 1 geometries, all three phases, with and without the
-// fused ReLU epilogue / BP mask, and with blocked operands negotiated.
+// fused ReLU epilogue / BP mask. Outputs are compared byte for byte,
+// so a -0 where the reference writes +0 fails.
 // ---------------------------------------------------------------------
 
 /** Table 1 kernel/channel characters at test-sized spatial extents;
@@ -351,6 +382,16 @@ const ConvSpec kDirectSpecs[] = {
 class DirectBitForBit : public ::testing::TestWithParam<int>
 {
 };
+
+/** Byte equality of two same-shaped tensors (tells +0 from -0). */
+bool
+sameBytes(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.size()) *
+                           sizeof(float)) == 0;
+}
 
 TEST_P(DirectBitForBit, AllPhasesMatchReference)
 {
@@ -375,17 +416,17 @@ TEST_P(DirectBitForBit, AllPhasesMatchReference)
     Tensor y_ref(out_shape), y(out_shape);
     ref.forward(s, x, w, y_ref, pool);
     direct.forward(s, x, w, y, pool);
-    EXPECT_EQ(maxAbsDiff(y, y_ref), 0.0f) << s.str() << " FP";
+    EXPECT_TRUE(sameBytes(y, y_ref)) << s.str() << " FP";
 
     Tensor xt_ref(x.shape()), xt(x.shape());
     ref.backwardData(s, e, w, xt_ref, pool);
     direct.backwardData(s, e, w, xt, pool);
-    EXPECT_EQ(maxAbsDiff(xt, xt_ref), 0.0f) << s.str() << " BP-data";
+    EXPECT_TRUE(sameBytes(xt, xt_ref)) << s.str() << " BP-data";
 
     Tensor dw_ref(w.shape()), dw(w.shape());
     ref.backwardWeights(s, e, x, dw_ref, pool);
     direct.backwardWeights(s, e, x, dw, pool);
-    EXPECT_EQ(maxAbsDiff(dw, dw_ref), 0.0f) << s.str() << " BP-weights";
+    EXPECT_TRUE(sameBytes(dw, dw_ref)) << s.str() << " BP-weights";
 
     // Fused ReLU epilogue + BP mask.
     std::vector<std::uint8_t> mask_ref(y_ref.size()),
@@ -394,69 +435,18 @@ TEST_P(DirectBitForBit, AllPhasesMatchReference)
     Epilogue ep{Epilogue::Kind::ReluMask, mask.data()};
     ref.forward(s, x, w, y_ref, pool, ep_ref);
     direct.forward(s, x, w, y, pool, ep);
-    EXPECT_EQ(maxAbsDiff(y, y_ref), 0.0f) << s.str() << " FP+relu";
+    EXPECT_TRUE(sameBytes(y, y_ref)) << s.str() << " FP+relu";
     EXPECT_EQ(std::memcmp(mask.data(), mask_ref.data(), mask.size()), 0)
         << s.str() << " mask";
 
     BpMask bp{mask_ref.data()};
     ref.backwardData(s, e, w, xt_ref, pool, bp);
     direct.backwardData(s, e, w, xt, pool, bp);
-    EXPECT_EQ(maxAbsDiff(xt, xt_ref), 0.0f)
-        << s.str() << " BP-data+mask";
+    EXPECT_TRUE(sameBytes(xt, xt_ref)) << s.str() << " BP-data+mask";
 
     ref.backwardWeights(s, e, x, dw_ref, pool, bp);
     direct.backwardWeights(s, e, x, dw, pool, bp);
-    EXPECT_EQ(maxAbsDiff(dw, dw_ref), 0.0f)
-        << s.str() << " BP-weights+mask";
-}
-
-TEST_P(DirectBitForBit, BlockedOperandsMatchPlain)
-{
-    // The negotiated-layout paths: blocked in and/or out for FP,
-    // blocked in for BP-weights. Results after a round-trip through
-    // the conversion kernels must equal the plain-NCHW call bit for
-    // bit.
-    if (!DirectEngine::blockedLayoutSupported())
-        GTEST_SKIP() << "no blocked kernels on this target";
-    const ConvSpec &s = kDirectSpecs[GetParam()];
-    const std::int64_t batch = 2;
-    ThreadPool pool(4);
-    Rng rng(900 + GetParam());
-
-    Tensor x(Shape{batch, s.nc, s.ny, s.nx});
-    Tensor w(Shape{s.nf, s.nc, s.fy, s.fx});
-    Tensor e(Shape{batch, s.nf, s.outY(), s.outX()});
-    x.fillUniform(rng, -1.0f, 1.0f);
-    w.fillUniform(rng, -1.0f, 1.0f);
-    e.fillUniform(rng, -1.0f, 1.0f);
-
-    DirectEngine direct;
-    Shape out_shape{batch, s.nf, s.outY(), s.outX()};
-    Tensor y_plain(out_shape);
-    std::vector<std::uint8_t> mask_plain(y_plain.size());
-    Epilogue ep_plain{Epilogue::Kind::ReluMask, mask_plain.data()};
-    direct.forward(s, x, w, y_plain, pool, ep_plain);
-
-    // Blocked input, blocked output.
-    Tensor xb = nchwToNchwc(x, pool);
-    Tensor yb(nchwcShape(batch, s.nf, s.outY(), s.outX()));
-    yb.setLayout(Layout::nchwc(s.nf));
-    std::vector<std::uint8_t> mask_b(y_plain.size());
-    Epilogue ep_b{Epilogue::Kind::ReluMask, mask_b.data()};
-    direct.forward(s, xb, w, yb, pool, ep_b);
-    Tensor y_back = nchwcToNchw(yb, pool);
-    EXPECT_EQ(maxAbsDiff(y_back, y_plain), 0.0f) << s.str();
-    EXPECT_EQ(std::memcmp(mask_b.data(), mask_plain.data(),
-                          mask_b.size()),
-              0)
-        << s.str();
-
-    // BP-weights reading the blocked input.
-    Tensor dw_plain(w.shape()), dw_b(w.shape());
-    BpMask bp{mask_plain.data()};
-    direct.backwardWeights(s, e, x, dw_plain, pool, bp);
-    direct.backwardWeights(s, e, xb, dw_b, pool, bp);
-    EXPECT_EQ(maxAbsDiff(dw_b, dw_plain), 0.0f) << s.str();
+    EXPECT_TRUE(sameBytes(dw, dw_ref)) << s.str() << " BP-weights+mask";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -486,12 +486,9 @@ TEST(FusedConvLayer, ReportsPostMaskSparsity)
 }
 
 // ---------------------------------------------------------------------------
-// Blocked-layout negotiation: with both convs of a conv->conv pair
-// (created by epilogue fusion collapsing conv->relu->conv) deployed on
-// the direct engine, the activation edge between them is carried in
-// NCHWc with no conversion nodes — and training stays bit-for-bit
-// identical to the unfused stack, where the standalone ReLU forces the
-// edge to stay NCHW.
+// A conv->conv pair (created by epilogue fusion collapsing
+// conv->relu->conv) with both convs on the direct engine trains
+// bit-for-bit like the unfused stack with its standalone ReLUs.
 
 namespace {
 
@@ -525,10 +522,8 @@ deployDirect(Network &net)
 
 } // namespace
 
-TEST(BlockedNegotiation, ConvChainElidesConversionsBitForBit)
+TEST(FusedNetwork, DirectConvChainTrainsBitForBitLikeUnfused)
 {
-    if (!DirectEngine::blockedLayoutSupported())
-        GTEST_SKIP() << "no blocked kernels on this target";
     ThreadPool pool(3);
     Network fused(convChainConfig(true), 23);
     Network plain(convChainConfig(false), 23);
@@ -545,41 +540,10 @@ TEST(BlockedNegotiation, ConvChainElidesConversionsBitForBit)
         StepStats b = plain.trainStep(images, labels, 0.05f, pool);
         ASSERT_EQ(a.loss, b.loss) << "step " << step;
     }
-    // The fused stack negotiated its conv->conv edge blocked; the
-    // standalone ReLU in the plain stack keeps every edge NCHW.
-    EXPECT_EQ(fused.blockedEdgeCount(), 1);
-    EXPECT_EQ(plain.blockedEdgeCount(), 0);
 
     for (ConvLayer *cf : fused.convLayers())
         for (ConvLayer *cp : plain.convLayers())
             if (cf->spec().str() == cp->spec().str())
                 expectBitEqual(cf->weights(), cp->weights(),
                                "weights " + cf->spec().str());
-}
-
-TEST(BlockedNegotiation, RedeploymentReplansEdges)
-{
-    if (!DirectEngine::blockedLayoutSupported())
-        GTEST_SKIP() << "no blocked kernels on this target";
-    ThreadPool pool(2);
-    Network net(convChainConfig(true), 31);
-    Rng data_rng(13);
-    Tensor images(Shape{2, 3, 14, 14});
-    std::vector<int> labels;
-    fillStepData(data_rng, images, labels, 4);
-
-    // Default engines: no blocked edges.
-    net.trainStep(images, labels, 0.05f, pool);
-    EXPECT_EQ(net.blockedEdgeCount(), 0);
-
-    // Deploying direct on both convs flips the edge; the arena replans.
-    deployDirect(net);
-    net.trainStep(images, labels, 0.05f, pool);
-    EXPECT_EQ(net.blockedEdgeCount(), 1);
-
-    // Moving one endpoint off direct drops the edge again.
-    net.convLayers()[1]->setEngines(
-        EngineAssignment{"direct", "direct", "gemm-in-parallel"});
-    net.trainStep(images, labels, 0.05f, pool);
-    EXPECT_EQ(net.blockedEdgeCount(), 0);
 }

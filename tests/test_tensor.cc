@@ -34,6 +34,19 @@ TEST(Shape, BasicProperties)
     EXPECT_NE(s, (Shape{2, 3, 5}));
 }
 
+TEST(Tensor, DefaultConstructedIsEmpty)
+{
+    // A size test on a lazily allocated tensor must see "nothing
+    // allocated" even when the wanted size is 1.
+    Tensor t;
+    EXPECT_EQ(t.shape().rank(), 0);
+    EXPECT_EQ(t.size(), 0);
+    EXPECT_EQ(t.data(), nullptr);
+    EXPECT_EQ(t.shape().str(), "empty");
+    Tensor copy = t.clone();
+    EXPECT_EQ(copy.size(), 0);
+}
+
 TEST(Tensor, ZeroInitialized)
 {
     Tensor t(Shape{3, 5});

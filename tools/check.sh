@@ -115,11 +115,11 @@ if [[ $# -eq 0 ]]; then
     done
 fi
 
-# Layout/direct-engine sanitizer gate: the NCHWc conversion kernels and
-# the direct engine's register tiles live and die by tail-block and
-# edge-tile indexing, and the pool-parallel converters by their
+# Direct-engine sanitizer gate: the NCHWc staging kernels and the
+# direct engine's register tiles live and die by tail-block and
+# edge-tile indexing, and the engine's pool-parallel staging by its
 # fan-out; run the blocked/direct suites under ASan and TSan so stray
-# pad-lane reads and conversion races are caught in-tree. The CSR
+# pad-lane reads and staging races are caught in-tree. The CSR
 # weight-sparsity suites ride along: the sparse-direct masked tails and
 # the pruning/mask/checkpoint machinery are exactly the sort of
 # off-by-one indexing ASan catches, and the weight-plan cache is shared

@@ -395,7 +395,6 @@ servingDrift(const serve::Server &server, Network &net, int cores)
                         std::to_string(plan.buckets[bi]);
             out.phase = phaseName(Phase::Forward);
             out.engine = engine;
-            out.layout = timing->layout;
             char region_buf[8];
             std::snprintf(region_buf, sizeof(region_buf), "R%d",
                           static_cast<int>(
